@@ -27,7 +27,7 @@ from .analytic import (
     total_outage,
     total_outage_high_snr,
 )
-from .channel import GainStream, SamplerConfig, make_streams, sample_channel
+from .channel import GainStream, SamplerConfig
 from .errors import (
     InsufficientConditioningError,
     ParameterError,

@@ -76,6 +76,21 @@ def _case_ii_terms(params: SystemParams, c: DerivedConstants) -> tuple[float, fl
     return nu1, 1.0 / params.p1
 
 
+def _rs_crossing_strip(params: SystemParams, c: DerivedConstants, hi: float) -> float:
+    """exp(-(eps0+eps1+eps0*eps1)/p1) * J(-p0/p1; eta0, hi), the strip RS's case-II rate clears."""
+    crossing = c.eps0 + c.eps1 + c.eps0 * c.eps1
+    return _scaled_strip(-crossing / params.p1, -params.p0 / params.p1, c.eta0, hi)
+
+
+def _baseline_case_ii_outage(params: SystemParams, c: DerivedConstants, hi: float | None,
+                             what: str) -> float:
+    """exp(1/p1) * J(1/(p1*eta0)) - exp(-eta1) * J(p0*eta1), both strips over [eta0, hi]."""
+    nu1, log1 = _case_ii_terms(params, c)
+    raw = (_scaled_strip(log1, nu1, c.eta0, hi)
+           - _scaled_strip(-c.eta1, params.p0 * c.eta1, c.eta0, hi))
+    return _as_probability(raw, what)
+
+
 def rs_case_ii_outage(params: SystemParams) -> float:
     """P{tau > 0, p1*g1 > tau, case-II RS rate < target}.
 
@@ -85,9 +100,7 @@ def rs_case_ii_outage(params: SystemParams) -> float:
     c = derive_constants(params)
     hi = c.eta0 * (1.0 + c.eps1)
     nu1, log1 = _case_ii_terms(params, c)
-    crossing = c.eps0 + c.eps1 + c.eps0 * c.eps1
-    raw = (_scaled_strip(log1, nu1, c.eta0, hi)
-           - _scaled_strip(-crossing / params.p1, -params.p0 / params.p1, c.eta0, hi))
+    raw = _scaled_strip(log1, nu1, c.eta0, hi) - _rs_crossing_strip(params, c, hi)
     return _as_probability(raw, "rs_case_ii_outage")
 
 
@@ -119,12 +132,10 @@ def rs_total_outage(params: SystemParams) -> float:
     The three per-case terms sum to this identically; tests pin the identity.
     """
     c = derive_constants(params)
-    crossing = c.eps0 + c.eps1 + c.eps0 * c.eps1
     k = params.p0 * c.eta1 + 1.0
     raw = (1.0
            - math.exp(-c.eta0 * (1.0 + c.eps1) - c.eta1)
-           - _scaled_strip(-crossing / params.p1, -params.p0 / params.p1,
-                           c.eta0, c.eta0 * (1.0 + c.eps1))
+           - _rs_crossing_strip(params, c, c.eta0 * (1.0 + c.eps1))
            - math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k)
     return _as_probability(raw, "rs_total_outage")
 
@@ -165,10 +176,7 @@ def qos_sic_case_ii_outage(params: SystemParams) -> float:
     hi: float | None = None
     if product < 1.0:
         hi = c.eta0 * (1.0 + c.eps1) / (1.0 - product)
-    nu1, log1 = _case_ii_terms(params, c)
-    raw = (_scaled_strip(log1, nu1, c.eta0, hi)
-           - _scaled_strip(-c.eta1, params.p0 * c.eta1, c.eta0, hi))
-    return _as_probability(raw, "qos_sic_case_ii_outage")
+    return _baseline_case_ii_outage(params, c, hi, "qos_sic_case_ii_outage")
 
 
 def qos_sic_outage_floor(params: SystemParams) -> float:
@@ -194,11 +202,7 @@ def nh_sic_case_ii_outage(params: SystemParams) -> float:
     [eta0, eta0*(1+eps1)].
     """
     c = derive_constants(params)
-    hi = c.eta0 * (1.0 + c.eps1)
-    nu1, log1 = _case_ii_terms(params, c)
-    raw = (_scaled_strip(log1, nu1, c.eta0, hi)
-           - _scaled_strip(-c.eta1, params.p0 * c.eta1, c.eta0, hi))
-    return _as_probability(raw, "nh_sic_case_ii_outage")
+    return _baseline_case_ii_outage(params, c, c.eta0 * (1.0 + c.eps1), "nh_sic_case_ii_outage")
 
 
 def case_ii_outage_gap(params: SystemParams) -> float:
@@ -209,8 +213,7 @@ def case_ii_outage_gap(params: SystemParams) -> float:
     """
     c = derive_constants(params)
     hi = c.eta0 * (1.0 + c.eps1)
-    crossing = c.eps0 + c.eps1 + c.eps0 * c.eps1
-    raw = (_scaled_strip(-crossing / params.p1, -params.p0 / params.p1, c.eta0, hi)
+    raw = (_rs_crossing_strip(params, c, hi)
            - _scaled_strip(-c.eta1, params.p0 * c.eta1, c.eta0, hi))
     return _as_probability(raw, "case_ii_outage_gap")
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .params import ChannelRealization
 
 _MAX_SEED = 2**64
 
@@ -38,8 +37,6 @@ class GainStream:
     """One exclusive substream of gain pairs (g0, g1).
 
     Draw order is fixed: each realization consumes two uniforms, g0 first.
-    ``gains(n)`` and ``n`` successive ``draw()`` calls consume the stream
-    identically, so scalar and vectorized users interleave reproducibly.
     """
 
     def __init__(self, seed: int, stream_index: int) -> None:
@@ -53,17 +50,3 @@ class GainStream:
         """Draw n gain pairs as two float64 arrays (g0, g1)."""
         u = self.rng.random((n, 2))
         return -np.log1p(-u[:, 0]), -np.log1p(-u[:, 1])
-
-    def draw(self) -> ChannelRealization:
-        u = self.rng.random(2)
-        return ChannelRealization(g0=-np.log1p(-u[0]), g1=-np.log1p(-u[1]))
-
-
-def make_streams(config: SamplerConfig) -> list[GainStream]:
-    """All substreams of a config, created up front and handed out exclusively."""
-    return [GainStream(config.seed, i) for i in range(config.stream_count)]
-
-
-def sample_channel(stream: GainStream) -> ChannelRealization:
-    """One fading realization from the given substream."""
-    return stream.draw()

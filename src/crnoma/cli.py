@@ -12,7 +12,7 @@ import sys
 
 from . import analytic
 from .channel import SamplerConfig
-from .errors import UnknownSchemeError
+from .errors import ParameterError, UnknownSchemeError
 from .estimator import Metric, estimate_batch
 from .experiments import PRESET_NAMES, figure_preset, load_spec, emit, render, run_sweep
 from .params import ChannelRealization, SystemParams, db_to_linear
@@ -24,7 +24,13 @@ _SCHEME_TOKENS = {s.value: s for s in SchemeId}
 
 
 def _count(text: str) -> int:
-    return int(float(text))
+    try:
+        value = int(float(text))
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a count: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:
@@ -173,7 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParameterError as exc:
+        print(f"crnoma: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ reduce by exact integer summation (and shard-ordered float summation for the
 rate metrics), which makes estimates bit-identical across parallelism
 degrees. Within a shard, realizations are processed in fixed-size blocks to
 bound memory; the block size is a module constant, not a tuning knob, so it
-cannot perturb results either.
+cannot perturb results either. Each block is tallied by the one
+per-realization rule in strategy (``_Rule``), evaluated on gain arrays with
+numpy as its namespace; ``evaluate_outcome`` evaluates the same rule on floats.
 
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
@@ -26,9 +28,9 @@ from enum import Enum
 import numpy as np
 
 from .channel import GainStream, SamplerConfig
-from .errors import InsufficientConditioningError, UnknownSchemeError
+from .errors import InsufficientConditioningError, ParameterError, UnknownSchemeError
 from .params import SystemParams, derive_constants
-from .strategy import SchemeId
+from .strategy import SchemeId, _Rule, _SchemeRule
 
 _BLOCK = 1 << 20  # realizations per vectorized block inside a shard
 _WORKERS_ENV = "CRNOMA_WORKERS"
@@ -97,89 +99,38 @@ class PopulationTally:
 def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
                      schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
                      with_rates: bool = False) -> PopulationTally:
-    """Vectorized counterpart of strategy.evaluate_outcome over gain arrays.
+    """Count and sum strategy's per-realization rule over gain arrays.
 
-    Outage conditions are the same linear-domain threshold comparisons the
-    scalar path uses, so both paths agree realization by realization.
+    The rule is strategy._Rule evaluated with numpy as its namespace;
+    strategy.evaluate_outcome evaluates the same expressions on floats, so
+    both paths agree realization by realization. Case masks are computed once
+    per block and shared by every scheme.
     """
-    c = derive_constants(params)
-    p0g0 = params.p0 * g0
-    p1g1 = params.p1 * g1
-
-    admitted = p0g0 > c.eps0           # tau > 0
-    tau = np.where(admitted, p0g0 / c.eps0 - 1.0, 0.0)
-    case_ii = admitted & (p1g1 > tau)
-    case_i = admitted & ~case_ii
-    case_iii = ~admitted
-
-    tilde_fail = p1g1 < c.eps1 * (p0g0 + 1.0)
-    fail_i = case_i & (p1g1 < c.eps1)
-    fail_iii = case_iii & tilde_fail
-
+    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_rates, np)
     tally = PopulationTally(
         n=int(g0.size),
-        case_i=int(np.count_nonzero(case_i)),
-        case_ii=int(np.count_nonzero(case_ii)),
-        case_iii=int(np.count_nonzero(case_iii)),
-        primary_outage=int(np.count_nonzero(p0g0 < c.eps0)),
+        case_i=int(np.count_nonzero(rule.case_i)),
+        case_ii=int(np.count_nonzero(rule.case_ii)),
+        case_iii=int(np.count_nonzero(rule.case_iii)),
+        primary_outage=int(np.count_nonzero(rule.primary_outage)),
     )
-
-    shared_rate_i = shared_rate_iii = None
-    if with_rates:
-        shared_rate_i = np.where(case_i, np.log2(1.0 + p1g1), 0.0)
-        shared_rate_iii = np.where(case_iii, np.log2(1.0 + p1g1 / (p0g0 + 1.0)), 0.0)
-
     for scheme in schemes:
-        if scheme is SchemeId.OMA_PRIMARY:
-            tally.schemes[scheme] = SchemeTally()
-            continue
-        if scheme is SchemeId.RS:
-            fail_ii = case_ii & (p1g1 < (1.0 + c.eps0) * (1.0 + c.eps1) - (1.0 + p0g0))
-        elif scheme is SchemeId.QOS_SIC:
-            fail_ii = case_ii & tilde_fail
-        elif scheme is SchemeId.NH_SIC:
-            fail_ii = case_ii & tilde_fail & (tau < c.eps1)
-        elif scheme is SchemeId.CSI_SIC:
-            u1_first = p1g1 >= p0g0
-            x0_decoded = p0g0 >= c.eps0 * (p1g1 + 1.0)
-            csi_fail = np.where(u1_first, tilde_fail, ~x0_decoded | (p1g1 < c.eps1))
-            st = SchemeTally(
-                outage_case_i=int(np.count_nonzero(case_i & csi_fail)),
-                outage_case_ii=int(np.count_nonzero(case_ii & csi_fail)),
-                outage_case_iii=int(np.count_nonzero(case_iii & csi_fail)),
-            )
-            if with_rates:
-                rate = np.where(
-                    u1_first,
-                    np.log2(1.0 + p1g1 / (p0g0 + 1.0)),
-                    np.where(x0_decoded, np.log2(1.0 + p1g1), 0.0),
-                )
-                st.rate_sum = float(rate.sum())
-                st.rate_sq_sum = float(np.square(rate).sum())
-            tally.schemes[scheme] = st
-            continue
-        else:
-            raise UnknownSchemeError(f"unknown scheme {scheme!r}")
-
-        st = SchemeTally(
-            outage_case_i=int(np.count_nonzero(fail_i)),
-            outage_case_ii=int(np.count_nonzero(fail_ii)),
-            outage_case_iii=int(np.count_nonzero(fail_iii)),
-        )
-        if with_rates:
-            if scheme is SchemeId.RS:
-                rate_ii = np.log2(1.0 + (p1g1 - tau) / (p0g0 + tau + 1.0)) + np.log2(1.0 + tau)
-                rate_ii = np.where(fail_ii, 0.0, rate_ii)  # silent blocks earn nothing
-            elif scheme is SchemeId.QOS_SIC:
-                rate_ii = np.log2(1.0 + p1g1 / (p0g0 + 1.0))
-            else:
-                rate_ii = np.maximum(np.log2(1.0 + p1g1 / (p0g0 + 1.0)), np.log2(1.0 + tau))
-            rate = shared_rate_i + shared_rate_iii + np.where(case_ii, rate_ii, 0.0)
-            st.rate_sum = float(rate.sum())
-            st.rate_sq_sum = float(np.square(rate).sum())
-        tally.schemes[scheme] = st
-
+        tally.schemes[scheme] = _scheme_tally(rule, rule.scheme(scheme))
     return tally
+
+
+def _scheme_tally(rule: _Rule, own: _SchemeRule | None) -> SchemeTally:
+    """Counts and sums of one scheme; its arrays are freed before the next scheme's are built."""
+    st = SchemeTally()
+    if own is None:
+        return st
+    st.outage_case_i = int(np.count_nonzero(rule.case_i & own.outage))
+    st.outage_case_iii = int(np.count_nonzero(rule.case_iii & own.outage))
+    st.outage_case_ii = int(np.count_nonzero(own.outage)) - st.outage_case_i - st.outage_case_iii
+    if own.rate is not None:
+        st.rate_sum = float(own.rate.sum())
+        st.rate_sq_sum = float(np.square(own.rate).sum())
+    return st
 
 
 @dataclass(frozen=True)
@@ -223,7 +174,10 @@ def _worker_count(workers: int | None) -> int:
         return max(1, int(workers))
     env = os.environ.get(_WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParameterError(f"{_WORKERS_ENV} must be an integer, got {env!r}") from None
     return min(2, os.cpu_count() or 1)
 
 

@@ -22,6 +22,7 @@ import crnoma as cn
 from crnoma import Metric, SamplerConfig, SchemeId, SystemParams
 from crnoma.cli import main as cli_main
 from crnoma.selftest import parameter_grid
+from crnoma.strategy import _Rule
 
 ACCEPTANCE_SEED = 20260810
 MC_SAMPLES = 10_000_000
@@ -187,26 +188,22 @@ def test_criterion_5_figure_orderings():
 def test_criterion_6_property_suites():
     """Per-realization dominance, case partition, primary protection on paired draws."""
     params = SystemParams(p0=10**1.5, p1=10**2.0, r0_hat=1.0, r1_hat=1.5)
-    stream = cn.make_streams(SamplerConfig(seed=ACCEPTANCE_SEED, stream_count=1))[0]
+    stream = cn.GainStream(ACCEPTANCE_SEED, 0)
     g0, g1 = stream.gains(PAIRED_DRAWS)
     c = cn.derive_constants(params)
     p0g0, p1g1 = params.p0 * g0, params.p1 * g1
 
-    admitted = p0g0 > c.eps0
-    tau = np.where(admitted, p0g0 / c.eps0 - 1.0, 0.0)
-    case_ii = admitted & (p1g1 > tau)
-    case_i = admitted & ~case_ii
-    case_iii = ~admitted
+    # the program's own rule, as tally_population evaluates it
+    rule = _Rule(c, p0g0, p1g1, True, np)
+    tau, case_i, case_ii, case_iii = rule.tau, rule.case_i, rule.case_ii, rule.case_iii
     partition_ok = (int(case_i.sum()) + int(case_ii.sum()) + int(case_iii.sum()) == PAIRED_DRAWS
                     and not np.any(case_i & case_ii) and not np.any(case_i & case_iii)
                     and not np.any(case_ii & case_iii))
 
     # rate dominance inside case II, zero violations
     idx = np.flatnonzero(case_ii)
-    rs_rate = (np.log2(1.0 + (p1g1[idx] - tau[idx]) / (p0g0[idx] + tau[idx] + 1.0))
-               + np.log2(1.0 + tau[idx]))
-    qos_rate = np.log2(1.0 + p1g1[idx] / (p0g0[idx] + 1.0))
-    nh_rate = np.maximum(qos_rate, np.log2(1.0 + tau[idx]))
+    rs_rate, nh_rate, qos_rate = (rule.scheme(s).case_ii_rate[idx]
+                                  for s in (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC))
     violations = int(np.count_nonzero(rs_rate < nh_rate)) + int(np.count_nonzero(nh_rate < qos_rate))
 
     # post-SIC primary SINR equals eps0 exactly under the case-II power split

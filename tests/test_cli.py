@@ -89,6 +89,24 @@ class TestOutage:
         assert float(kv["primary_outage"]) == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
 
 
+class TestBoundaryErrors:
+    SIM = ("outage", "--engine", "sim", "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1")
+
+    def test_bad_worker_count_is_one_stderr_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("CRNOMA_WORKERS", "abc")
+        code, _, err = run_cli(capsys, *self.SIM, "--samples", "1e3")
+        assert code == 2
+        assert err.count("\n") == 1 and "CRNOMA_WORKERS" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-3", "abc", "inf"])
+    def test_bad_sample_count_rejected_by_parser(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SIM, "--samples", samples])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--samples" in err and "Traceback" not in err
+
+
 class TestFigureAndSweep:
     def test_figure_writes_csv(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"

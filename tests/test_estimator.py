@@ -3,6 +3,7 @@ import math
 import pytest
 
 from crnoma import (
+    GainStream,
     InsufficientConditioningError,
     Metric,
     SamplerConfig,
@@ -12,7 +13,6 @@ from crnoma import (
     admission_probability,
     estimate,
     estimate_batch,
-    make_streams,
     rs_total_outage,
     simulate_tally,
     tally_population,
@@ -172,7 +172,7 @@ class TestConditionalAndThroughput:
 class TestVectorizedAgainstScalar:
     def test_tally_matches_scalar_path(self):
         params = make_params(12.0, 17.0, 1.0, 1.5)
-        stream = make_streams(SamplerConfig(seed=26, stream_count=1))[0]
+        stream = GainStream(26, 0)
         g0, g1 = stream.gains(10_000)
         tally = tally_population(params, g0, g1, tuple(SECONDARY))
         counts = {s: dict(i=0, ii=0, iii=0) for s in SECONDARY}

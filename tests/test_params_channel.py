@@ -13,8 +13,6 @@ from crnoma import (
     db_to_linear,
     derive_constants,
     linear_to_db,
-    make_streams,
-    sample_channel,
 )
 
 
@@ -104,18 +102,6 @@ class TestReproducibility:
         a0, _ = GainStream(seed=7, stream_index=0).gains(1000)
         b0, _ = GainStream(seed=7, stream_index=1).gains(1000)
         assert not np.array_equal(a0, b0)
-
-    def test_scalar_draws_match_vectorized(self):
-        vec = GainStream(seed=11, stream_index=2)
-        g0, g1 = vec.gains(50)
-        scalar = GainStream(seed=11, stream_index=2)
-        draws = [sample_channel(scalar) for _ in range(50)]
-        assert np.array_equal(g0, np.array([d.g0 for d in draws]))
-        assert np.array_equal(g1, np.array([d.g1 for d in draws]))
-
-    def test_make_streams_layout(self):
-        streams = make_streams(SamplerConfig(seed=5, stream_count=4))
-        assert [s.stream_index for s in streams] == [0, 1, 2, 3]
 
     def test_cross_stream_independence(self):
         # adjacent substreams of one seed should look jointly independent

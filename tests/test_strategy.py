@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crnoma import (
     CaseLabel,
     ChannelRealization,
-    SamplerConfig,
+    GainStream,
     SchemeId,
     SystemParams,
     UnknownSchemeError,
@@ -16,9 +18,9 @@ from crnoma import (
     derive_constants,
     evaluate_outcome,
     interference_threshold,
-    make_streams,
     received_sinrs,
     rs_decide,
+    tally_population,
 )
 
 # the two worked scenarios: (p0, p1, g0, g1) with r0_hat = 2 so eps0 = 3
@@ -192,7 +194,7 @@ class TestEvaluateOutcome:
     def test_benchmarks_match_rs_outside_case_ii(self):
         # identical operation in cases I and III: same rate, same outage flag
         params = SystemParams(p0=2.0, p1=4.0, r0_hat=1.0, r1_hat=1.5)
-        stream = make_streams(SamplerConfig(seed=314, stream_count=1))[0]
+        stream = GainStream(314, 0)
         g0, g1 = stream.gains(100_000)
         checked = 0
         for i in range(g0.size):
@@ -266,3 +268,101 @@ class TestInvariants:
         params, chan = SCENARIO_ONE
         with pytest.raises((UnknownSchemeError, AttributeError)):
             evaluate_outcome("not-a-scheme", params, chan)  # type: ignore[arg-type]
+
+
+# -- independent oracle: every outcome rebuilt from received_sinrs and log2 rates,
+# without the decision kernel that evaluate_outcome and tally_population share
+
+ORACLE_POINTS = (
+    SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0),
+    SystemParams(p0=100.0, p1=3.0, r0_hat=1.5, r1_hat=0.5),
+    SystemParams(p0=0.5, p1=300.0, r0_hat=0.25, r1_hat=2.0),
+    SystemParams(p0=300.0, p1=30.0, r0_hat=0.5, r1_hat=3.0),
+)
+SECONDARY = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_SIC)
+TIE_REL = 1e-9
+
+
+def _oracle(params, chan):
+    """(case, primary outage, {scheme: (outage, rate)}), or None within TIE_REL of a threshold.
+
+    Rates come from the SINRs of the decode order each scheme uses; outage
+    means rate < target. In case II, RS splits U1 so that x12 arrives at the
+    primary's budget tau, and stays silent when the split misses the target;
+    NH-SIC's back-off sends U1 alone at received power tau.
+    """
+    r0, r1 = params.r0_hat, params.r1_hat
+    p0g0, p1g1 = params.p0 * chan.g0, params.p1 * chan.g1
+
+    def rates(alpha, c=chan):
+        return tuple(math.log2(1.0 + s) for s in received_sinrs(params, c, alpha))
+
+    first, primary_alone, _ = rates(1.0)   # U1 decoded before x0, x0 as noise
+    _, x0_first, last = rates(0.0)         # x0 decoded first, then U1 interference-free
+    ties = [(primary_alone, r0), (p1g1, p0g0)]
+    admitted = primary_alone > r0
+    # largest x12 power leaving x0 decodable at its target rate
+    tau = p0g0 / (2.0 ** r0 - 1.0) - 1.0 if admitted else 0.0
+    if admitted:
+        ties.append((p1g1, tau))
+    case = CaseLabel.III if not admitted else CaseLabel.I if p1g1 <= tau else CaseLabel.II
+    if case is CaseLabel.II:
+        x11, _, x12 = rates(1.0 - tau / p1g1)
+        backoff = rates(0.0, ChannelRealization(g0=chan.g0, g1=tau / params.p1))[2]
+        rate = {SchemeId.RS: x11 + x12, SchemeId.QOS_SIC: first, SchemeId.NH_SIC: max(first, backoff)}
+    else:
+        rate = dict.fromkeys((SchemeId.RS, SchemeId.QOS_SIC, SchemeId.NH_SIC),
+                             last if case is CaseLabel.I else first)
+    if p1g1 >= p0g0:
+        rate[SchemeId.CSI_SIC] = first
+    else:
+        ties.append((x0_first, r0))
+        rate[SchemeId.CSI_SIC] = last if x0_first >= r0 else 0.0
+    ties += [(r, r1) for r in rate.values()]
+    if any(abs(a - b) <= TIE_REL * max(abs(a), abs(b)) for a, b in ties):
+        return None
+    outcome = {}
+    for scheme, r in rate.items():
+        silent = scheme is SchemeId.RS and case is CaseLabel.II and r < r1
+        outcome[scheme] = (r < r1, 0.0 if silent else r)
+    return case, primary_alone < r0, outcome
+
+
+def test_outcomes_match_independent_oracle():
+    seen = Counter()
+    for params in ORACLE_POINTS:
+        g0, g1 = GainStream(2718, 0).gains(4000)
+        kept = []
+        counts, rate_sums = Counter(), {s: [] for s in SECONDARY}
+        for a, b in zip(g0, g1):
+            chan = ChannelRealization(g0=a, g1=b)
+            expected = _oracle(params, chan)
+            if expected is None:
+                continue
+            kept.append((a, b))
+            case, primary_outage, outcome = expected
+            counts["case", case] += 1
+            counts["primary"] += primary_outage
+            for scheme, (outage, rate) in outcome.items():
+                got = evaluate_outcome(scheme, params, chan)
+                assert got.case_label is case, (params, chan, scheme)
+                assert got.primary_outage == primary_outage, (params, chan, scheme)
+                assert got.secondary_outage == outage, (params, chan, scheme)
+                assert math.isclose(got.secondary_rate, rate, rel_tol=1e-12), (params, chan, scheme)
+                counts[scheme, case] += outage
+                rate_sums[scheme].append(rate)
+                seen[scheme, case, outage] += 1
+        assert len(kept) > 3900
+
+        kept_g0, kept_g1 = (np.array(col) for col in zip(*kept))
+        tally = tally_population(params, kept_g0, kept_g1, SECONDARY, with_rates=True)
+        assert (tally.n, tally.case_i, tally.case_ii, tally.case_iii, tally.primary_outage) == (
+            len(kept), counts["case", CaseLabel.I], counts["case", CaseLabel.II],
+            counts["case", CaseLabel.III], counts["primary"])
+        for scheme in SECONDARY:
+            st = tally.schemes[scheme]
+            assert (st.outage_case_i, st.outage_case_ii, st.outage_case_iii) == tuple(
+                counts[scheme, c] for c in CaseLabel)
+            assert math.isclose(st.rate_sum, math.fsum(rate_sums[scheme]), rel_tol=1e-12)
+    # every scheme met both outcomes in every case somewhere on the grid
+    assert len(seen) == len(SECONDARY) * len(CaseLabel) * 2

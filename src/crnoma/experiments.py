@@ -18,19 +18,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import analytic
 from .channel import SamplerConfig
-from .errors import UnknownSchemeError
-from .estimator import Metric, estimate_from_tally, simulate_tally
+from .errors import ParameterError, UnknownSchemeError
+from .estimator import Metric, _worker_count, estimate_from_tally, simulate_tally
 from .params import SystemParams, db_to_linear
 from .strategy import SchemeId
 
 AXES = ("P1_DB", "TARGET_RATE_R1")
 COUPLINGS = ("EQUAL", "RATIO")
 ENGINES = ("ANALYTIC", "MONTE_CARLO", "BOTH")
+# the `fixed` keys each axis reads in params_at
+_FIXED_KEYS = {"P1_DB": ("r0", "r1"), "TARGET_RATE_R1": ("r0", "p0_db", "p1_db")}
 
 # schemes with closed forms; CSI-SIC is simulation-only
 _ANALYTIC_SCHEMES = frozenset({SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC})
@@ -54,17 +56,22 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ParameterError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.coupling not in COUPLINGS:
-            raise ValueError(f"coupling must be one of {COUPLINGS}, got {self.coupling!r}")
+            raise ParameterError(f"coupling must be one of {COUPLINGS}, got {self.coupling!r}")
         if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+            raise ParameterError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        if not isinstance(self.fixed, dict):
+            raise ParameterError(f"fixed must be a mapping, got {self.fixed!r}")
+        missing = [k for k in _FIXED_KEYS[self.axis] if k not in self.fixed]
+        if missing:
+            raise ParameterError(f"fixed is missing {missing} for axis {self.axis}")
         if not self.axis_values or any(b <= a for a, b in zip(self.axis_values, self.axis_values[1:])):
-            raise ValueError("axis_values must be nonempty and strictly increasing")
+            raise ParameterError("axis_values must be nonempty and strictly increasing")
         if self.ratio <= 0.0:
-            raise ValueError("coupling ratio must be positive")
+            raise ParameterError("coupling ratio must be positive")
         if not self.schemes or not self.metrics:
-            raise ValueError("schemes and metrics must be nonempty")
+            raise ParameterError("schemes and metrics must be nonempty")
 
     def params_at(self, axis_value: float) -> SystemParams:
         if self.axis == "P1_DB":
@@ -84,10 +91,20 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
+        required = {f.name: f.default is MISSING for f in fields(cls)}
+        unknown = sorted(set(d) - set(required))
+        if unknown:
+            raise ParameterError(f"unknown sweep config keys {unknown}")
+        missing = [k for k, needed in required.items() if needed and k not in d]
+        if missing:
+            raise ParameterError(f"sweep config is missing keys {missing}")
         d = dict(d)
-        d["axis_values"] = tuple(float(v) for v in d["axis_values"])
-        d["schemes"] = tuple(SchemeId(s) for s in d["schemes"])
-        d["metrics"] = tuple(Metric(m) for m in d["metrics"])
+        try:
+            d["axis_values"] = tuple(float(v) for v in d["axis_values"])
+            d["schemes"] = tuple(SchemeId(s) for s in d["schemes"])
+            d["metrics"] = tuple(Metric(m) for m in d["metrics"])
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad sweep config: {exc}") from None
         return cls(**d)
 
 
@@ -155,11 +172,15 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     With engine BOTH, analytic rows are emitted only for cells that have a
     closed form (CSI-SIC and the ergodic throughput are simulation-only);
     requesting engine ANALYTIC for such a cell records a failure instead.
+    A bad worker count (argument or CRNOMA_WORKERS) is not a cell failure:
+    it raises ParameterError before any cell runs.
     """
     result = SweepResult(spec=spec)
     want_analytic = spec.engine in ("ANALYTIC", "BOTH")
     want_mc = spec.engine in ("MONTE_CARLO", "BOTH")
     sampler = SamplerConfig(seed=spec.seed, stream_count=spec.stream_count)
+    if want_mc:
+        workers = _worker_count(workers)
 
     for axis_value in spec.axis_values:
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 
@@ -48,6 +49,12 @@ class SystemParams:
         for name in ("p0", "p1", "r0_hat", "r1_hat"):
             object.__setattr__(self, name, _require_positive_finite(name, getattr(self, name)))
 
+    @cached_property
+    def _constants(self) -> DerivedConstants:
+        # stored in the instance __dict__ on first success; a raising
+        # derivation stores nothing and raises again on the next call
+        return _derive_constants(self)
+
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -63,8 +70,14 @@ def derive_constants(params: SystemParams) -> DerivedConstants:
     """Map target rates and powers to (eps0, eps1, eta0, eta1).
 
     eps_i = 2^r_i - 1 is the SINR a rate-r_i codeword needs; eta_i = eps_i / p_i
-    is the corresponding channel-gain threshold.
+    is the corresponding channel-gain threshold. The constants are derived once
+    per SystemParams instance, on first use, and the same object is returned
+    on every later call.
     """
+    return params._constants
+
+
+def _derive_constants(params: SystemParams) -> DerivedConstants:
     try:
         eps0 = 2.0 ** params.r0_hat - 1.0
         eps1 = 2.0 ** params.r1_hat - 1.0

@@ -106,6 +106,40 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert "--samples" in err and "Traceback" not in err
 
+    @staticmethod
+    def assert_one_error_line(code, out, err):
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("crnoma: error: ")
+        assert "Traceback" not in err and "FAILED cell" not in err
+        assert out == ""
+
+    def test_bad_worker_count_fails_sweep_once(self, capsys, monkeypatch):
+        monkeypatch.setenv("CRNOMA_WORKERS", "abc")
+        code, out, err = run_cli(capsys, "figure", "fig1a", "--samples", "1000")
+        self.assert_one_error_line(code, out, err)
+        assert "CRNOMA_WORKERS" in err
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"bogus": 1}, "bogus"),
+        ({"axis": "SNR"}, "axis"),
+        ({"coupling": "DOUBLE"}, "coupling"),
+        ({"engine": "GPU"}, "engine"),
+        ({"fixed": {"r1": 1.0}}, "'r0'"),
+        ({"axis": "TARGET_RATE_R1", "fixed": {"r0": 1.0}}, "'p0_db', 'p1_db'"),
+    ])
+    def test_bad_sweep_config_is_one_stderr_line(self, capsys, tmp_path, change, needle):
+        config = {
+            "axis": "P1_DB", "axis_values": [10.0], "fixed": {"r0": 1.0, "r1": 1.0},
+            "schemes": ["rs"], "metrics": ["outage-total"], "n_samples": 1000,
+        }
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({**config, **change}))
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
+        self.assert_one_error_line(code, out, err)
+        assert needle in err
+        assert not out_path.exists()
+
 
 class TestFigureAndSweep:
     def test_figure_writes_csv(self, capsys, tmp_path):

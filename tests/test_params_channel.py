@@ -1,17 +1,28 @@
+import dataclasses
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import crnoma.params
 from crnoma import (
     ChannelRealization,
     GainStream,
     ParameterError,
     SamplerConfig,
+    SchemeId,
     SystemParams,
+    analytic_report,
+    case_ii_outage_quadrature,
+    conditional_case_ii_outage,
     db_to_linear,
+    delay_limited_throughput,
     derive_constants,
+    evaluate_outcome,
     linear_to_db,
 )
 
@@ -48,6 +59,78 @@ class TestDerivedConstants:
     def test_negative_gain_raises(self):
         with pytest.raises(ParameterError):
             ChannelRealization(g0=-0.1, g1=1.0)
+
+
+class TestConstantsMemo:
+    """derive_constants derives once per SystemParams instance and reuses the result."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        derive = crnoma.params._derive_constants
+
+        def counting(params):
+            calls.append(params)
+            return derive(params)
+
+        monkeypatch.setattr(crnoma.params, "_derive_constants", counting)
+        return calls
+
+    def test_repeated_calls_return_same_object(self, derivations):
+        p = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0)
+        assert derive_constants(p) is derive_constants(p)
+        assert len(derivations) == 1
+
+    def test_failing_derivation_raises_every_call(self, derivations):
+        p = SystemParams(p0=1.0, p1=1.0, r0_hat=2000.0, r1_hat=1.0)
+        for _ in range(3):
+            with pytest.raises(ParameterError):
+                derive_constants(p)
+        assert len(derivations) == 3
+
+    def test_replace_gets_fresh_constants(self):
+        p = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0)
+        c = derive_constants(p)
+        same = dataclasses.replace(p)
+        assert derive_constants(same) is not c and derive_constants(same) == c
+        other = derive_constants(dataclasses.replace(p, r0_hat=2.0))
+        assert other.eps0 == 3.0 and other.eps1 == c.eps1
+
+    def test_identity_of_params_unchanged_by_memo(self):
+        p = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
+        fresh = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
+        c = derive_constants(p)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert repr(p) == repr(fresh) == "SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)"
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
+        assert derive_constants(back) == c
+
+    def test_threads_see_equal_constants(self):
+        # Monte Carlo shards share one SystemParams across worker threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in range(50):
+                p = SystemParams(p0=1.0 + k, p1=2.0, r0_hat=1.0, r1_hat=0.5)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    seen = list(pool.map(lambda _: derive_constants(p), range(8), timeout=10))
+                assert all(c == seen[0] for c in seen)
+                assert derive_constants(p) == seen[0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_derivation_per_params_across_layers(self, derivations):
+        p = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0)
+        for scheme in (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC):
+            analytic_report(scheme, p)
+            conditional_case_ii_outage(scheme, p)
+            delay_limited_throughput(scheme, p)
+        case_ii_outage_quadrature(p)
+        chan = ChannelRealization(g0=0.7, g1=1.3)
+        for k in range(20):
+            evaluate_outcome(tuple(SchemeId)[k % len(SchemeId)], p, chan)
+        assert derivations == [p]
 
 
 def test_db_round_trip():

@@ -5,11 +5,23 @@ shard i always covers the same index range and always uses stream i, so the
 counts are identical no matter how many workers execute the shards. Shards
 reduce by exact integer summation (and shard-ordered float summation for the
 rate metrics), which makes estimates bit-identical across parallelism
-degrees. Within a shard, realizations are processed in fixed-size blocks to
-bound memory; the block size is a module constant, not a tuning knob, so it
-cannot perturb results either. Each block is tallied by the one
-per-realization rule in strategy (``_Rule``), evaluated on gain arrays with
-numpy as its namespace; ``evaluate_outcome`` evaluates the same rule on floats.
+degrees. Within a shard, realizations are drawn in fixed-size blocks; the
+block size is a module constant, not a tuning knob, so it cannot perturb
+results either. Each block is tallied by the one per-realization rule in
+strategy (``_Rule``), evaluated on gain arrays with numpy as its namespace;
+``evaluate_outcome`` evaluates the same rule on floats.
+
+Because the gains depend only on (seed, stream_count, n_samples), the blocks
+of the most recent such draw set are kept, read-only, and every later call
+with the same key tallies them instead of drawing again: a sweep draws once
+for all its axis values. Only one draw set is kept (16 bytes per draw), and
+only up to a fixed cap of draws; larger sets are drawn block by block on
+every call, so memory stays bounded. A call that misses releases the kept
+set before it draws and keeps its own once every shard is done; the slot is
+swapped under a lock, and a call that started on a kept set holds on to it,
+so concurrent calls with different keys each tally their own draws. A hit
+tallies the same arrays in the same block and merge order as a miss, so
+every count and rate sum is bit-identical either way.
 
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
@@ -21,6 +33,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,6 +47,7 @@ from .params import SystemParams, derive_constants
 from .strategy import SchemeId, _Rule, _SchemeRule
 
 _BLOCK = 1 << 20  # realizations per vectorized block inside a shard
+_KEEP_MAX_DRAWS = 1 << 24  # largest draw set kept between calls (16 bytes per draw)
 _WORKERS_ENV = "CRNOMA_WORKERS"
 _Z95 = 1.959963984540054
 
@@ -186,15 +201,31 @@ def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(stream_count)]
 
 
-def _run_shard(params: SystemParams, stream: GainStream, size: int,
-               schemes: tuple[SchemeId, ...], with_rates: bool) -> PopulationTally:
-    total = PopulationTally()
+_Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
+
+# the kept draw set: ((seed, stream_count, n_samples), per-shard tuples of blocks)
+_kept: tuple[tuple[int, int, int], tuple[tuple[_Block, ...], ...]] | None = None
+_kept_lock = threading.Lock()
+
+
+def _draw(stream: GainStream, size: int, keep: list | None) -> Iterator[_Block]:
+    """Draw one shard block by block; with `keep`, also store each block read-only."""
     done = 0
     while done < size:
         m = min(_BLOCK, size - done)
         g0, g1 = stream.gains(m)
-        total.merge(tally_population(params, g0, g1, schemes, with_rates))
+        if keep is not None:
+            g0.flags.writeable = g1.flags.writeable = False
+            keep.append((g0, g1))
+        yield g0, g1
         done += m
+
+
+def _run_shard(params: SystemParams, blocks: Iterable[_Block],
+               schemes: tuple[SchemeId, ...], with_rates: bool) -> PopulationTally:
+    total = PopulationTally()
+    for g0, g1 in blocks:
+        total.merge(tally_population(params, g0, g1, schemes, with_rates))
     return total
 
 
@@ -202,17 +233,32 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
                    schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
                    with_rates: bool = False, workers: int | None = None) -> PopulationTally:
     """Tally n_samples realizations across the sampler's substreams."""
+    global _kept
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    sizes = _shard_sizes(n_samples, sampler.stream_count)
-    jobs = [(GainStream(sampler.seed, i), size) for i, size in enumerate(sizes) if size > 0]
     nworkers = _worker_count(workers)
+    key = (sampler.seed, sampler.stream_count, n_samples)
+    with _kept_lock:
+        kept = _kept
+        if kept is not None and kept[0] != key:
+            _kept = kept = None  # release the old set before drawing the new one
+    if kept is not None:
+        jobs, drawn = kept[1], None
+    else:
+        # zero-size shards come last, so shard i still draws from stream i
+        sizes = [size for size in _shard_sizes(n_samples, sampler.stream_count) if size > 0]
+        drawn = [[] for _ in sizes] if n_samples <= _KEEP_MAX_DRAWS else None
+        jobs = [_draw(GainStream(sampler.seed, i), size, None if drawn is None else drawn[i])
+                for i, size in enumerate(sizes)]
     if nworkers == 1 or len(jobs) == 1:
-        shard_tallies = [_run_shard(params, s, n, schemes, with_rates) for s, n in jobs]
+        shard_tallies = [_run_shard(params, blocks, schemes, with_rates) for blocks in jobs]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_run_shard, params, s, n, schemes, with_rates) for s, n in jobs]
+            futures = [pool.submit(_run_shard, params, blocks, schemes, with_rates) for blocks in jobs]
             shard_tallies = [f.result() for f in futures]  # shard order, not completion order
+    if drawn is not None:
+        with _kept_lock:
+            _kept = (key, tuple(tuple(blocks) for blocks in drawn))
     total = PopulationTally()
     for t in shard_tallies:
         total.merge(t)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -68,10 +69,13 @@ class SweepSpec:
             raise ParameterError(f"fixed is missing {missing} for axis {self.axis}")
         if not self.axis_values or any(b <= a for a, b in zip(self.axis_values, self.axis_values[1:])):
             raise ParameterError("axis_values must be nonempty and strictly increasing")
-        if self.ratio <= 0.0:
-            raise ParameterError("coupling ratio must be positive")
+        if not isinstance(self.ratio, numbers.Real) or not self.ratio > 0.0:
+            raise ParameterError(f"coupling ratio must be a positive number, got {self.ratio!r}")
         if not self.schemes or not self.metrics:
             raise ParameterError("schemes and metrics must be nonempty")
+        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 1:
+            raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
+        SamplerConfig(seed=self.seed, stream_count=self.stream_count)  # validates both
 
     def params_at(self, axis_value: float) -> SystemParams:
         if self.axis == "P1_DB":
@@ -115,7 +119,15 @@ def save_spec(spec: SweepSpec, path: str | Path) -> Path:
 
 
 def load_spec(path: str | Path) -> SweepSpec:
-    return SweepSpec.from_dict(json.loads(Path(path).read_text()))
+    try:
+        d = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParameterError(f"cannot read sweep config: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"sweep config {path} is not JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise ParameterError(f"sweep config {path} must be a JSON object")
+    return SweepSpec.from_dict(d)
 
 
 @dataclass(frozen=True)

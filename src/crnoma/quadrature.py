@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import ParameterError, QuadratureError
 from .params import SystemParams, derive_constants
 
@@ -55,6 +53,8 @@ def _outer_integrand(params: SystemParams, eps0: float, eps1: float):
 
 def case_ii_outage_quadrature(params: SystemParams, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """RS case-II outage probability by adaptive quadrature of the g0 integral."""
+    from scipy.integrate import quad  # here, not at module level: importing crnoma skips scipy
+
     c = derive_constants(params)
     lo = c.eta0
     hi = c.eta0 * (1.0 + c.eps1)

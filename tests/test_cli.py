@@ -126,6 +126,11 @@ class TestBoundaryErrors:
         ({"engine": "GPU"}, "engine"),
         ({"fixed": {"r1": 1.0}}, "'r0'"),
         ({"axis": "TARGET_RATE_R1", "fixed": {"r0": 1.0}}, "'p0_db', 'p1_db'"),
+        ({"n_samples": 0}, "n_samples"),
+        ({"n_samples": 1000.5}, "n_samples"),
+        ({"stream_count": 0}, "stream_count"),
+        ({"seed": 1.5}, "seed"),
+        ({"ratio": "big"}, "ratio"),
     ])
     def test_bad_sweep_config_is_one_stderr_line(self, capsys, tmp_path, change, needle):
         config = {
@@ -134,11 +139,23 @@ class TestBoundaryErrors:
         }
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({**config, **change}))
+        self.assert_sweep_refused(capsys, tmp_path, cfg, needle)
+
+    def assert_sweep_refused(self, capsys, tmp_path, cfg, needle):
         out_path = tmp_path / "out.csv"
         code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
         self.assert_one_error_line(code, out, err)
         assert needle in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_sweep_config_not_a_json_object(self, capsys, tmp_path, text):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(text)
+        self.assert_sweep_refused(capsys, tmp_path, cfg, "sweep.json")
+
+    def test_missing_sweep_config(self, capsys, tmp_path):
+        self.assert_sweep_refused(capsys, tmp_path, tmp_path / "absent.json", "absent.json")
 
 
 class TestFigureAndSweep:

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import crnoma
 from crnoma import (
     GainStream,
     InsufficientConditioningError,
@@ -17,6 +23,8 @@ from crnoma import (
     simulate_tally,
     tally_population,
 )
+from crnoma import estimator
+from crnoma.estimator import PopulationTally
 from crnoma.strategy import evaluate_outcome
 from crnoma.params import ChannelRealization
 
@@ -196,3 +204,133 @@ class TestVectorizedAgainstScalar:
                                (SchemeId.RS,))
         assert tally.n == 12_345
         assert tally.case_i + tally.case_ii + tally.case_iii == 12_345
+
+
+def _reference_tally(params, seed, stream_count, n, schemes, with_rates):
+    """The path without the kept draw set: draw every block by hand, merge in shard order."""
+    total = PopulationTally()
+    base, rem = divmod(n, stream_count)
+    for i in range(stream_count):
+        size = base + (1 if i < rem else 0)
+        if size == 0:
+            continue
+        stream, shard, done = GainStream(seed, i), PopulationTally(), 0
+        while done < size:
+            m = min(estimator._BLOCK, size - done)
+            shard.merge(tally_population(params, *stream.gains(m), schemes, with_rates))
+            done += m
+        total.merge(shard)
+    return total
+
+
+class TestKeptDrawSet:
+    """simulate_tally keeps the last (seed, stream_count, n_samples) draw set and tallies it again."""
+
+    SCHEMES = tuple(SECONDARY)
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # several blocks per shard at a small n, and an empty slot to start from
+        monkeypatch.setattr(estimator, "_BLOCK", 1000)
+        monkeypatch.setattr(estimator, "_kept", None)
+
+    @pytest.fixture
+    def gains_calls(self, monkeypatch):
+        calls = []
+        gains = GainStream.gains
+
+        def counted(stream, n):
+            calls.append(n)
+            return gains(stream, n)
+
+        monkeypatch.setattr(GainStream, "gains", counted)
+        return calls
+
+    def reference(self, params, seed, stream_count, n, with_rates):
+        return _reference_tally(params, seed, stream_count, n, self.SCHEMES, with_rates)
+
+    def simulate(self, params, seed, stream_count, n, with_rates, workers=1):
+        return simulate_tally(params, SamplerConfig(seed=seed, stream_count=stream_count), n,
+                              self.SCHEMES, with_rates=with_rates, workers=workers)
+
+    @pytest.mark.parametrize("with_rates", [False, True])
+    def test_miss_then_hit_match_reference(self, with_rates, gains_calls):
+        first, second = make_params(10.0, 10.0, 1.0, 1.0), make_params(12.0, 17.0, 1.0, 1.5)
+        ref_first = self.reference(first, 40, 5, 23_456, with_rates)
+        ref_second = self.reference(second, 40, 5, 23_456, with_rates)
+        gains_calls.clear()
+        assert self.simulate(first, 40, 5, 23_456, with_rates) == ref_first
+        assert sum(gains_calls) == 23_456  # a miss draws every realization once
+        assert self.simulate(second, 40, 5, 23_456, with_rates, workers=1) == ref_second
+        assert self.simulate(second, 40, 5, 23_456, with_rates, workers=2) == ref_second
+        assert self.simulate(first, 40, 5, 23_456, with_rates, workers=2) == ref_first
+        assert sum(gains_calls) == 23_456  # hits draw nothing
+
+    @pytest.mark.parametrize("changed", [(41, 5, 23_456), (40, 6, 23_456), (40, 5, 23_457)])
+    def test_new_key_replaces_kept_set(self, changed, gains_calls):
+        params = make_params(12.0, 17.0, 1.0, 1.5)
+        self.simulate(params, 40, 5, 23_456, True)
+        gains_calls.clear()
+        assert self.simulate(params, *changed, True, workers=2) == self.reference(params, *changed, True)
+        assert sum(gains_calls) == changed[2] * 2  # the call drew, then the reference did
+        assert estimator._kept[0] == changed
+        gains_calls.clear()
+        assert self.simulate(params, 40, 5, 23_456, True) == self.reference(params, 40, 5, 23_456, True)
+        assert sum(gains_calls) == 2 * 23_456  # the old set is gone too
+
+    def test_kept_arrays_are_read_only(self):
+        self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False)
+        key, shards = estimator._kept
+        assert key == (42, 3, 5_000)
+        assert [sum(g0.size for g0, _ in blocks) for blocks in shards] == [1667, 1667, 1666]
+        for blocks in shards:
+            for g0, g1 in blocks:
+                assert not g0.flags.writeable and not g1.flags.writeable
+        with pytest.raises(ValueError):
+            shards[0][0][0][0] = 0.0
+
+    def test_set_above_cap_is_drawn_on_every_call(self, monkeypatch, gains_calls):
+        monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", 4_999)
+        params = make_params(10.0, 10.0, 1.0, 1.0)
+        expected = self.reference(params, 43, 4, 5_000, True)
+        gains_calls.clear()
+        for workers in (1, 2, 1):
+            assert self.simulate(params, 43, 4, 5_000, True, workers=workers) == expected
+        assert sum(gains_calls) == 3 * 5_000
+        assert estimator._kept is None
+
+    def test_threads_with_different_keys_get_their_own_draws(self):
+        # more threads than cores, switching often, each on a key of its own or a shared one
+        params = make_params(12.0, 17.0, 1.0, 1.5)
+        keys = [(44, 4, 9_000), (45, 5, 9_001), (44, 4, 9_001), (44, 4, 9_000)]
+        expected = {key: self.reference(params, *key, True) for key in keys}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                barrier, got = threading.Barrier(len(keys), timeout=60), [None] * len(keys)
+
+                def run(i):
+                    barrier.wait()
+                    got[i] = [self.simulate(params, *keys[i], True, workers=w) for w in (2, 1)]
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(keys))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [[expected[key]] * 2 for key in keys]
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(crnoma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import crnoma, sys; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the quadrature imports scipy on first use
+    assert crnoma.case_ii_outage_quadrature(make_params(10.0, 10.0, 1.0, 1.0)) > 0.0

@@ -11,17 +11,18 @@ results either. Each block is tallied by the one per-realization rule in
 strategy (``_Rule``), evaluated on gain arrays with numpy as its namespace;
 ``evaluate_outcome`` evaluates the same rule on floats.
 
-Because the gains depend only on (seed, stream_count, n_samples), the blocks
-of the most recent such draw set are kept, read-only, and every later call
-with the same key tallies them instead of drawing again: a sweep draws once
-for all its axis values. Only one draw set is kept (16 bytes per draw), and
-only up to a fixed cap of draws; larger sets are drawn block by block on
-every call, so memory stays bounded. A call that misses releases the kept
-set before it draws and keeps its own once every shard is done; the slot is
+Because the gains depend only on (seed, stream_count, n_samples), a call
+whose key repeats the previous call's keeps its blocks, read-only, and every
+later call with that key tallies them instead of drawing again: a sweep draws
+twice for all its axis values. A one-off call keeps nothing, so it holds no
+more than the blocks in flight. Only one draw set is kept (16 bytes per
+draw), and only up to a fixed cap of draws; larger sets are drawn block by
+block on every call, so memory stays bounded. A call that draws releases the
+kept set first and publishes its own once every shard is done; the slot is
 swapped under a lock, and a call that started on a kept set holds on to it,
-so concurrent calls with different keys each tally their own draws. A hit
-tallies the same arrays in the same block and merge order as a miss, so
-every count and rate sum is bit-identical either way.
+so concurrent calls with different keys each tally their own draws. A kept
+set is tallied in the same block and merge order as a fresh draw, so every
+count and rate sum is bit-identical either way.
 
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
@@ -47,7 +48,7 @@ from .params import SystemParams, derive_constants
 from .strategy import SchemeId, _Rule, _SchemeRule
 
 _BLOCK = 1 << 20  # realizations per vectorized block inside a shard
-_KEEP_MAX_DRAWS = 1 << 24  # largest draw set kept between calls (16 bytes per draw)
+_KEEP_MAX_DRAWS = 1 << 20  # largest draw set kept between calls: 16 MiB at 16 bytes per draw
 _WORKERS_ENV = "CRNOMA_WORKERS"
 _Z95 = 1.959963984540054
 
@@ -203,8 +204,9 @@ def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
 
 _Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
 
-# the kept draw set: ((seed, stream_count, n_samples), per-shard tuples of blocks)
-_kept: tuple[tuple[int, int, int], tuple[tuple[_Block, ...], ...]] | None = None
+# the last call's (seed, stream_count, n_samples) key and, once that key has come
+# twice in a row, its draw set as per-shard tuples of blocks
+_kept: tuple[tuple[int, int, int], tuple[tuple[_Block, ...], ...] | None] | None = None
 _kept_lock = threading.Lock()
 
 
@@ -239,15 +241,17 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
     nworkers = _worker_count(workers)
     key = (sampler.seed, sampler.stream_count, n_samples)
     with _kept_lock:
-        kept = _kept
-        if kept is not None and kept[0] != key:
-            _kept = kept = None  # release the old set before drawing the new one
+        last_key, kept = _kept or (None, None)
+        if last_key != key:
+            kept = None
+        if kept is None:
+            _kept = (key, None)  # release the old set before drawing the new one
     if kept is not None:
-        jobs, drawn = kept[1], None
+        jobs, drawn = kept, None
     else:
         # zero-size shards come last, so shard i still draws from stream i
         sizes = [size for size in _shard_sizes(n_samples, sampler.stream_count) if size > 0]
-        drawn = [[] for _ in sizes] if n_samples <= _KEEP_MAX_DRAWS else None
+        drawn = [[] for _ in sizes] if last_key == key and n_samples <= _KEEP_MAX_DRAWS else None
         jobs = [_draw(GainStream(sampler.seed, i), size, None if drawn is None else drawn[i])
                 for i, size in enumerate(sizes)]
     if nworkers == 1 or len(jobs) == 1:

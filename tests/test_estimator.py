@@ -87,15 +87,21 @@ class TestBatchSemantics:
 
 
 class TestDeterminism:
-    def test_same_seed_same_estimates(self, params_10db):
+    """Each call starts from an empty kept-set slot, so every one of them draws afresh."""
+
+    def test_same_seed_same_estimates(self, params_10db, monkeypatch):
+        monkeypatch.setattr(estimator, "_kept", None)
         a = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=15))
+        monkeypatch.setattr(estimator, "_kept", None)
         b = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=15))
         assert a == b
 
     @pytest.mark.parametrize("metric", [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC])
-    def test_worker_count_invariance(self, params_10db, metric):
+    def test_worker_count_invariance(self, params_10db, metric, monkeypatch):
         kwargs = dict(n_samples=500_000, sampler=SamplerConfig(seed=16))
+        monkeypatch.setattr(estimator, "_kept", None)
         a = estimate(SchemeId.RS, params_10db, metric, workers=1, **kwargs)
+        monkeypatch.setattr(estimator, "_kept", None)
         b = estimate(SchemeId.RS, params_10db, metric, workers=3, **kwargs)
         assert a == b  # bitwise, including the float rate sums
 
@@ -224,7 +230,7 @@ def _reference_tally(params, seed, stream_count, n, schemes, with_rates):
 
 
 class TestKeptDrawSet:
-    """simulate_tally keeps the last (seed, stream_count, n_samples) draw set and tallies it again."""
+    """simulate_tally keeps a draw set that two calls in a row ask for, and tallies it again."""
 
     SCHEMES = tuple(SECONDARY)
 
@@ -254,32 +260,42 @@ class TestKeptDrawSet:
                               self.SCHEMES, with_rates=with_rates, workers=workers)
 
     @pytest.mark.parametrize("with_rates", [False, True])
-    def test_miss_then_hit_match_reference(self, with_rates, gains_calls):
+    def test_repeated_key_is_kept_then_tallied(self, with_rates, gains_calls):
         first, second = make_params(10.0, 10.0, 1.0, 1.0), make_params(12.0, 17.0, 1.0, 1.5)
-        ref_first = self.reference(first, 40, 5, 23_456, with_rates)
-        ref_second = self.reference(second, 40, 5, 23_456, with_rates)
+        key = (40, 5, 23_456)
+        ref_first = self.reference(first, *key, with_rates)
+        ref_second = self.reference(second, *key, with_rates)
         gains_calls.clear()
-        assert self.simulate(first, 40, 5, 23_456, with_rates) == ref_first
-        assert sum(gains_calls) == 23_456  # a miss draws every realization once
-        assert self.simulate(second, 40, 5, 23_456, with_rates, workers=1) == ref_second
-        assert self.simulate(second, 40, 5, 23_456, with_rates, workers=2) == ref_second
-        assert self.simulate(first, 40, 5, 23_456, with_rates, workers=2) == ref_first
-        assert sum(gains_calls) == 23_456  # hits draw nothing
+        assert self.simulate(first, *key, with_rates) == ref_first
+        assert sum(gains_calls) == 23_456  # a first call draws every realization once
+        assert estimator._kept == (key, None)  # and keeps only its key
+        assert self.simulate(second, *key, with_rates, workers=2) == ref_second
+        assert sum(gains_calls) == 2 * 23_456  # a repeat draws again and keeps the set
+        assert estimator._kept[0] == key and estimator._kept[1] is not None
+        assert self.simulate(second, *key, with_rates, workers=1) == ref_second
+        assert self.simulate(first, *key, with_rates, workers=2) == ref_first
+        assert self.simulate(first, *key, with_rates, workers=1) == ref_first
+        assert sum(gains_calls) == 2 * 23_456  # later calls draw nothing
 
     @pytest.mark.parametrize("changed", [(41, 5, 23_456), (40, 6, 23_456), (40, 5, 23_457)])
     def test_new_key_replaces_kept_set(self, changed, gains_calls):
         params = make_params(12.0, 17.0, 1.0, 1.5)
-        self.simulate(params, 40, 5, 23_456, True)
+        expected = self.reference(params, *changed, True)
+        expected_old = self.reference(params, 40, 5, 23_456, True)
+        for _ in range(2):
+            self.simulate(params, 40, 5, 23_456, True)
+        assert estimator._kept[1] is not None
         gains_calls.clear()
-        assert self.simulate(params, *changed, True, workers=2) == self.reference(params, *changed, True)
-        assert sum(gains_calls) == changed[2] * 2  # the call drew, then the reference did
-        assert estimator._kept[0] == changed
+        assert self.simulate(params, *changed, True, workers=2) == expected
+        assert sum(gains_calls) == changed[2]
+        assert estimator._kept == (changed, None)  # the old set is released, the new one not kept
         gains_calls.clear()
-        assert self.simulate(params, 40, 5, 23_456, True) == self.reference(params, 40, 5, 23_456, True)
-        assert sum(gains_calls) == 2 * 23_456  # the old set is gone too
+        assert self.simulate(params, 40, 5, 23_456, True) == expected_old
+        assert sum(gains_calls) == 23_456  # the old set is gone
 
     def test_kept_arrays_are_read_only(self):
-        self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False)
+        for _ in range(2):
+            self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False)
         key, shards = estimator._kept
         assert key == (42, 3, 5_000)
         assert [sum(g0.size for g0, _ in blocks) for blocks in shards] == [1667, 1667, 1666]
@@ -297,7 +313,7 @@ class TestKeptDrawSet:
         for workers in (1, 2, 1):
             assert self.simulate(params, 43, 4, 5_000, True, workers=workers) == expected
         assert sum(gains_calls) == 3 * 5_000
-        assert estimator._kept is None
+        assert estimator._kept == ((43, 4, 5_000), None)
 
     def test_threads_with_different_keys_get_their_own_draws(self):
         # more threads than cores, switching often, each on a key of its own or a shared one
@@ -312,7 +328,7 @@ class TestKeptDrawSet:
 
                 def run(i):
                     barrier.wait()
-                    got[i] = [self.simulate(params, *keys[i], True, workers=w) for w in (2, 1)]
+                    got[i] = [self.simulate(params, *keys[i], True, workers=w) for w in (2, 1, 2)]
 
                 threads = [threading.Thread(target=run, args=(i,)) for i in range(len(keys))]
                 for t in threads:
@@ -320,7 +336,7 @@ class TestKeptDrawSet:
                 for t in threads:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
-                assert got == [[expected[key]] * 2 for key in keys]
+                assert got == [[expected[key]] * 3 for key in keys]
         finally:
             sys.setswitchinterval(interval)
 

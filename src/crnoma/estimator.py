@@ -11,18 +11,16 @@ results either. Each block is tallied by the one per-realization rule in
 strategy (``_Rule``), evaluated on gain arrays with numpy as its namespace;
 ``evaluate_outcome`` evaluates the same rule on floats.
 
-Because the gains depend only on (seed, stream_count, n_samples), a call
-whose key repeats the previous call's keeps its blocks, read-only, and every
-later call with that key tallies them instead of drawing again: a sweep draws
-twice for all its axis values. A one-off call keeps nothing, so it holds no
-more than the blocks in flight. Only one draw set is kept (16 bytes per
-draw), and only up to a fixed cap of draws; larger sets are drawn block by
-block on every call, so memory stays bounded. A call that draws releases the
-kept set first and publishes its own once every shard is done; the slot is
-swapped under a lock, and a call that started on a kept set holds on to it,
-so concurrent calls with different keys each tally their own draws. A kept
-set is tallied in the same block and merge order as a fresh draw, so every
-count and rate sum is bit-identical either way.
+Because the gains depend only on (seed, stream_count, n_samples), a key's
+draw set is a pure function of it: ``_kept_shards`` caches the most recent
+one, read-only. A call that repeats the previous call's key tallies that set,
+so a sweep draws twice for all its axis values (the keeping call draws its
+shards serially, once); a call with a new key empties the cache before it
+draws, and a one-off call holds only the blocks in flight. Sets above a fixed
+cap of draws (16 bytes each) are drawn block by block on every call. No lock
+is needed: whatever set a call tallies is the deterministic draw for its key,
+tallied in the same block and merge order as a fresh draw, so every count
+and rate sum is bit-identical either way.
 
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
@@ -32,9 +30,9 @@ with no statistical noise on the differences.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import threading
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -66,7 +64,6 @@ class Metric(Enum):
 
 
 _SECONDARY_SCHEMES = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_SIC)
-_RATE_METRICS = (Metric.THROUGHPUT_ERGODIC,)
 
 
 @dataclass
@@ -204,23 +201,33 @@ def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
 
 _Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
 
-# the last call's (seed, stream_count, n_samples) key and, once that key has come
-# twice in a row, its draw set as per-shard tuples of blocks
-_kept: tuple[tuple[int, int, int], tuple[tuple[_Block, ...], ...] | None] | None = None
-_kept_lock = threading.Lock()
+# the last call's (seed, stream_count, n_samples) key; a call that repeats it keeps its draw set
+_last_key: tuple[int, int, int] | None = None
 
 
-def _draw(stream: GainStream, size: int, keep: list | None) -> Iterator[_Block]:
-    """Draw one shard block by block; with `keep`, also store each block read-only."""
+def _draw(stream: GainStream, size: int) -> Iterator[_Block]:
+    """Draw one shard block by block."""
     done = 0
     while done < size:
         m = min(_BLOCK, size - done)
-        g0, g1 = stream.gains(m)
-        if keep is not None:
-            g0.flags.writeable = g1.flags.writeable = False
-            keep.append((g0, g1))
-        yield g0, g1
+        yield stream.gains(m)
         done += m
+
+
+def _shard_blocks(seed: int, stream_count: int, n_samples: int) -> list[Iterator[_Block]]:
+    """One block iterator per nonempty shard; zero-size shards come last, so shard i uses stream i."""
+    sizes = [size for size in _shard_sizes(n_samples, stream_count) if size > 0]
+    return [_draw(GainStream(seed, i), size) for i, size in enumerate(sizes)]
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_shards(seed: int, stream_count: int, n_samples: int) -> tuple[tuple[_Block, ...], ...]:
+    """The whole draw set of a key as read-only per-shard tuples of blocks."""
+    shards = tuple(tuple(blocks) for blocks in _shard_blocks(seed, stream_count, n_samples))
+    for blocks in shards:
+        for g0, g1 in blocks:
+            g0.flags.writeable = g1.flags.writeable = False
+    return shards
 
 
 def _run_shard(params: SystemParams, blocks: Iterable[_Block],
@@ -235,38 +242,30 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
                    schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
                    with_rates: bool = False, workers: int | None = None) -> PopulationTally:
     """Tally n_samples realizations across the sampler's substreams."""
-    global _kept
+    global _last_key
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     nworkers = _worker_count(workers)
     key = (sampler.seed, sampler.stream_count, n_samples)
-    with _kept_lock:
-        last_key, kept = _kept or (None, None)
-        if last_key != key:
-            kept = None
-        if kept is None:
-            _kept = (key, None)  # release the old set before drawing the new one
-    if kept is not None:
-        jobs, drawn = kept, None
-    else:
-        # zero-size shards come last, so shard i still draws from stream i
-        sizes = [size for size in _shard_sizes(n_samples, sampler.stream_count) if size > 0]
-        drawn = [[] for _ in sizes] if last_key == key and n_samples <= _KEEP_MAX_DRAWS else None
-        jobs = [_draw(GainStream(sampler.seed, i), size, None if drawn is None else drawn[i])
-                for i, size in enumerate(sizes)]
+    repeat, _last_key = key == _last_key, key
+    if not repeat:
+        _kept_shards.cache_clear()  # release the old set before drawing the new one
+    jobs = _kept_shards(*key) if repeat and n_samples <= _KEEP_MAX_DRAWS else _shard_blocks(*key)
     if nworkers == 1 or len(jobs) == 1:
         shard_tallies = [_run_shard(params, blocks, schemes, with_rates) for blocks in jobs]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             futures = [pool.submit(_run_shard, params, blocks, schemes, with_rates) for blocks in jobs]
             shard_tallies = [f.result() for f in futures]  # shard order, not completion order
-    if drawn is not None:
-        with _kept_lock:
-            _kept = (key, tuple(tuple(blocks) for blocks in drawn))
     total = PopulationTally()
     for t in shard_tallies:
         total.merge(t)
     return total
+
+
+def _needs_rates(metrics: Iterable[Metric]) -> bool:
+    """Whether any of the metrics is estimated from achieved-rate sums, not from counts alone."""
+    return any(m is Metric.THROUGHPUT_ERGODIC for m in metrics)
 
 
 def estimate_from_tally(scheme: SchemeId, metric: Metric, params: SystemParams,
@@ -318,9 +317,8 @@ def estimate_batch(schemes: list[SchemeId], params: SystemParams, metrics: list[
     """
     if not schemes or not metrics:
         raise ValueError("schemes and metrics must be nonempty")
-    need_rates = any(m in _RATE_METRICS for m in metrics)
     tally_schemes = tuple(dict.fromkeys(schemes))
-    tally = simulate_tally(params, sampler, n_samples, tally_schemes, need_rates, workers)
+    tally = simulate_tally(params, sampler, n_samples, tally_schemes, _needs_rates(metrics), workers)
     return [
         estimate_from_tally(scheme, metric, params, tally)
         for scheme in schemes

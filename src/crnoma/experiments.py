@@ -19,13 +19,13 @@ import csv
 import io
 import json
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import analytic
 from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
-from .estimator import Metric, _worker_count, estimate_from_tally, simulate_tally
+from .estimator import Metric, _needs_rates, _worker_count, estimate_from_tally, simulate_tally
 from .params import SystemParams, db_to_linear
 from .strategy import SchemeId
 
@@ -220,10 +220,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
                     result.rows.append(SweepRow(axis_value, scheme, metric, "ANALYTIC", value))
 
         if want_mc:
-            need_rates = Metric.THROUGHPUT_ERGODIC in spec.metrics
             try:
                 tally = simulate_tally(params, sampler, spec.n_samples, tuple(spec.schemes),
-                                       with_rates=need_rates, workers=workers)
+                                       with_rates=_needs_rates(spec.metrics), workers=workers)
             except Exception as exc:
                 for scheme in spec.schemes:
                     for metric in spec.metrics:
@@ -355,8 +354,4 @@ def figure_preset(name: str, n_samples: int | None = None, seed: int | None = No
         updates["n_samples"] = int(n_samples)
     if seed is not None:
         updates["seed"] = int(seed)
-    if updates:
-        d = spec.to_dict()
-        d.update(updates)
-        spec = SweepSpec.from_dict(d)
-    return spec
+    return replace(spec, **updates)  # replace re-runs __post_init__, so overrides are validated

@@ -21,6 +21,7 @@ from .errors import ParameterError, QuadratureError
 from .params import SystemParams, derive_constants
 
 _PROBABILITY_SLACK = 1e-9
+_quad = None  # scipy.integrate.quad, bound on first use: importing crnoma skips scipy
 
 
 @dataclass(frozen=True)
@@ -53,14 +54,16 @@ def _outer_integrand(params: SystemParams, eps0: float, eps1: float):
 
 def case_ii_outage_quadrature(params: SystemParams, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """RS case-II outage probability by adaptive quadrature of the g0 integral."""
-    from scipy.integrate import quad  # here, not at module level: importing crnoma skips scipy
+    global _quad
+    if _quad is None:
+        from scipy.integrate import quad as _quad
 
     c = derive_constants(params)
     lo = c.eta0
     hi = c.eta0 * (1.0 + c.eps1)
     if hi <= lo:
         return 0.0
-    value, abserr, info, *tail = quad(
+    value, abserr, info, *tail = _quad(
         _outer_integrand(params, c.eps0, c.eps1), lo, hi,
         epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_subdivisions,
         full_output=1,

@@ -86,22 +86,33 @@ class TestBatchSemantics:
         assert rs <= nh <= qos <= csi
 
 
-class TestDeterminism:
-    """Each call starts from an empty kept-set slot, so every one of them draws afresh."""
+def _empty_kept_set():
+    estimator._kept_shards.cache_clear()
+    estimator._last_key = None
 
-    def test_same_seed_same_estimates(self, params_10db, monkeypatch):
-        monkeypatch.setattr(estimator, "_kept", None)
+
+@pytest.fixture
+def empty_kept_set():
+    """Start from an empty kept draw set, and leave none behind; call it to empty the set again."""
+    _empty_kept_set()
+    yield _empty_kept_set
+    _empty_kept_set()
+
+
+class TestDeterminism:
+    """Each call starts from an empty kept draw set, so every one of them draws afresh."""
+
+    def test_same_seed_same_estimates(self, params_10db, empty_kept_set):
         a = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=15))
-        monkeypatch.setattr(estimator, "_kept", None)
+        empty_kept_set()
         b = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=15))
         assert a == b
 
     @pytest.mark.parametrize("metric", [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC])
-    def test_worker_count_invariance(self, params_10db, metric, monkeypatch):
+    def test_worker_count_invariance(self, params_10db, metric, empty_kept_set):
         kwargs = dict(n_samples=500_000, sampler=SamplerConfig(seed=16))
-        monkeypatch.setattr(estimator, "_kept", None)
         a = estimate(SchemeId.RS, params_10db, metric, workers=1, **kwargs)
-        monkeypatch.setattr(estimator, "_kept", None)
+        empty_kept_set()
         b = estimate(SchemeId.RS, params_10db, metric, workers=3, **kwargs)
         assert a == b  # bitwise, including the float rate sums
 
@@ -235,10 +246,9 @@ class TestKeptDrawSet:
     SCHEMES = tuple(SECONDARY)
 
     @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        # several blocks per shard at a small n, and an empty slot to start from
+    def small_blocks(self, monkeypatch, empty_kept_set):
+        # several blocks per shard at a small n, and an empty kept set to start from
         monkeypatch.setattr(estimator, "_BLOCK", 1000)
-        monkeypatch.setattr(estimator, "_kept", None)
 
     @pytest.fixture
     def gains_calls(self, monkeypatch):
@@ -251,6 +261,11 @@ class TestKeptDrawSet:
 
         monkeypatch.setattr(GainStream, "gains", counted)
         return calls
+
+    @staticmethod
+    def kept():
+        """How many draw sets are kept: 0 or 1."""
+        return estimator._kept_shards.cache_info().currsize
 
     def reference(self, params, seed, stream_count, n, with_rates):
         return _reference_tally(params, seed, stream_count, n, self.SCHEMES, with_rates)
@@ -268,10 +283,10 @@ class TestKeptDrawSet:
         gains_calls.clear()
         assert self.simulate(first, *key, with_rates) == ref_first
         assert sum(gains_calls) == 23_456  # a first call draws every realization once
-        assert estimator._kept == (key, None)  # and keeps only its key
+        assert estimator._last_key == key and self.kept() == 0  # and keeps only its key
         assert self.simulate(second, *key, with_rates, workers=2) == ref_second
         assert sum(gains_calls) == 2 * 23_456  # a repeat draws again and keeps the set
-        assert estimator._kept[0] == key and estimator._kept[1] is not None
+        assert estimator._last_key == key and self.kept() == 1
         assert self.simulate(second, *key, with_rates, workers=1) == ref_second
         assert self.simulate(first, *key, with_rates, workers=2) == ref_first
         assert self.simulate(first, *key, with_rates, workers=1) == ref_first
@@ -284,20 +299,40 @@ class TestKeptDrawSet:
         expected_old = self.reference(params, 40, 5, 23_456, True)
         for _ in range(2):
             self.simulate(params, 40, 5, 23_456, True)
-        assert estimator._kept[1] is not None
+        assert self.kept() == 1
         gains_calls.clear()
         assert self.simulate(params, *changed, True, workers=2) == expected
         assert sum(gains_calls) == changed[2]
-        assert estimator._kept == (changed, None)  # the old set is released, the new one not kept
+        # the old set is released, the new one not kept
+        assert estimator._last_key == changed and self.kept() == 0
         gains_calls.clear()
         assert self.simulate(params, 40, 5, 23_456, True) == expected_old
         assert sum(gains_calls) == 23_456  # the old set is gone
 
+    def test_new_key_releases_kept_set_before_drawing(self, monkeypatch):
+        params = make_params(12.0, 17.0, 1.0, 1.5)
+        expected = self.reference(params, 41, 5, 23_456, False)
+        for _ in range(2):
+            self.simulate(params, 40, 5, 23_456, False)
+        assert self.kept() == 1
+        kept_at_draw = []
+        gains = GainStream.gains
+
+        def counted(stream, n):
+            kept_at_draw.append(self.kept())
+            return gains(stream, n)
+
+        monkeypatch.setattr(GainStream, "gains", counted)
+        assert self.simulate(params, 41, 5, 23_456, False, workers=2) == expected
+        assert len(kept_at_draw) == 5 * 5 and set(kept_at_draw) == {0}  # from the first block on
+
     def test_kept_arrays_are_read_only(self):
         for _ in range(2):
             self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False)
-        key, shards = estimator._kept
-        assert key == (42, 3, 5_000)
+        assert estimator._last_key == (42, 3, 5_000) and self.kept() == 1
+        hits = estimator._kept_shards.cache_info().hits
+        shards = estimator._kept_shards(42, 3, 5_000)
+        assert estimator._kept_shards.cache_info().hits == hits + 1
         assert [sum(g0.size for g0, _ in blocks) for blocks in shards] == [1667, 1667, 1666]
         for blocks in shards:
             for g0, g1 in blocks:
@@ -313,7 +348,7 @@ class TestKeptDrawSet:
         for workers in (1, 2, 1):
             assert self.simulate(params, 43, 4, 5_000, True, workers=workers) == expected
         assert sum(gains_calls) == 3 * 5_000
-        assert estimator._kept == ((43, 4, 5_000), None)
+        assert estimator._last_key == (43, 4, 5_000) and self.kept() == 0
 
     def test_threads_with_different_keys_get_their_own_draws(self):
         # more threads than cores, switching often, each on a key of its own or a shared one

@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crnoma
 from crnoma.cli import main
 
 
@@ -119,6 +124,17 @@ class TestBoundaryErrors:
         self.assert_one_error_line(code, out, err)
         assert "CRNOMA_WORKERS" in err
 
+    @pytest.mark.parametrize("command", [
+        SIM + ("--samples", "1e3"),
+        ("figure", "fig1a", "--samples", "1000"),
+    ], ids=["outage", "figure"])
+    @pytest.mark.parametrize("workers", ["0", "-2", "2.5"])
+    def test_worker_count_not_positive_integer(self, capsys, monkeypatch, command, workers):
+        monkeypatch.setenv("CRNOMA_WORKERS", workers)
+        code, out, err = run_cli(capsys, *command)
+        self.assert_one_error_line(code, out, err)
+        assert "CRNOMA_WORKERS" in err and repr(workers) in err
+
     @pytest.mark.parametrize("change, needle", [
         ({"bogus": 1}, "bogus"),
         ({"axis": "SNR"}, "axis"),
@@ -208,3 +224,12 @@ class TestSelftest:
         assert code == 0
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(crnoma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "crnoma", "--help"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: crnoma")

@@ -5,6 +5,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crnoma
@@ -12,6 +13,7 @@ from crnoma import (
     GainStream,
     InsufficientConditioningError,
     Metric,
+    ParameterError,
     SamplerConfig,
     SchemeId,
     SystemParams,
@@ -24,9 +26,9 @@ from crnoma import (
     tally_population,
 )
 from crnoma import estimator
-from crnoma.estimator import PopulationTally
-from crnoma.strategy import evaluate_outcome
-from crnoma.params import ChannelRealization
+from crnoma.estimator import PopulationTally, SchemeTally
+from crnoma.strategy import _Rule, evaluate_outcome
+from crnoma.params import ChannelRealization, derive_constants
 
 from conftest import make_params
 
@@ -223,7 +225,73 @@ class TestVectorizedAgainstScalar:
         assert tally.case_i + tally.case_ii + tally.case_iii == 12_345
 
 
-def _reference_tally(params, seed, stream_count, n, schemes, with_rates):
+def _unsplit_tally(params, g0, g1, schemes, with_rates=True):
+    """tally_population built by hand: the rule once over the whole arrays, rates summed by np.sum."""
+    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_rates, np)
+    count = np.count_nonzero
+    tally = PopulationTally(n=g0.size, case_i=count(rule.case_i), case_ii=count(rule.case_ii),
+                            case_iii=count(rule.case_iii), primary_outage=count(rule.primary_outage))
+    for scheme in schemes:
+        own = rule.scheme(scheme)
+        tally.schemes[scheme] = SchemeTally(
+            count(rule.case_i & own.outage), count(rule.case_ii & own.outage),
+            count(rule.case_iii & own.outage),
+            float(np.sum(own.rate)) if with_rates else 0.0,
+            float(np.sum(np.square(own.rate))) if with_rates else 0.0)
+    return tally
+
+
+def _strip_tree_sum(x):
+    """Sum x as tally_population's rate path does: split like numpy's pairwise sum, down to strips."""
+    n = x.size
+    if n <= estimator._STRIP:
+        return float(np.sum(x))
+    half = n // 2 - n // 2 % 8
+    return _strip_tree_sum(x[:half]) + _strip_tree_sum(x[half:])
+
+
+STRIP_BLOCKS = [1 << 14, (1 << 14) + 1, 2 * (1 << 14) + 8, 62_500, 100_003, 1 << 20]
+
+
+class TestStrips:
+    """With rates, tally_population works on strips and still sums exactly as one np.sum would."""
+
+    @pytest.fixture(scope="class")
+    def gains(self):
+        return GainStream(46, 0).gains(max(STRIP_BLOCKS))
+
+    @pytest.mark.parametrize("n", STRIP_BLOCKS)
+    @pytest.mark.parametrize("point", [(10.0, 10.0, 1.0, 1.0), (12.0, 17.0, 1.0, 1.5),
+                                       (0.0, 20.0, 2.0, 0.5)])
+    def test_split_tally_equals_unsplit(self, gains, n, point):
+        params = make_params(*point)
+        g0, g1 = gains[0][:n], gains[1][:n]
+        tally = tally_population(params, g0, g1, tuple(SECONDARY), with_rates=True)
+        expected = _unsplit_tally(params, g0, g1, tuple(SECONDARY))
+        assert tally == expected  # exact: every count, rate_sum and rate_sq_sum
+        assert all(tally.schemes[s].rate_sum > 0.0 for s in SECONDARY)
+
+    def test_counts_without_rates_are_unsplit(self, gains):
+        params = make_params(12.0, 17.0, 1.0, 1.5)
+        g0, g1 = gains[0][:100_003], gains[1][:100_003]
+        assert (tally_population(params, g0, g1, tuple(SECONDARY))
+                == _unsplit_tally(params, g0, g1, tuple(SECONDARY), with_rates=False))
+
+    def test_numpy_sums_pairwise_as_assumed(self):
+        # The strips rest on numpy summing a contiguous float64 array pairwise, splitting n
+        # at n//2 - n//2 % 8. If a numpy release sums another way, this fails before any
+        # figure CSV moves.
+        rng = np.random.default_rng(47)
+        moved = 0
+        for n in STRIP_BLOCKS + [3 * (1 << 14) + 5, 200_000]:
+            x = rng.lognormal(0.0, 4.0, n) * rng.choice([-1.0, 1.0], n)
+            assert _strip_tree_sum(x) == float(np.sum(x)), n
+            half = n // 2 - n // 2 % 8 + 8  # a split elsewhere changes the bits
+            moved += float(np.sum(x[:half])) + float(np.sum(x[half:])) != float(np.sum(x))
+        assert moved > 0
+
+
+def _reference_tally(params, seed, stream_count, n, schemes, with_rates, tally=tally_population):
     """The path without the kept draw set: draw every block by hand, merge in shard order."""
     total = PopulationTally()
     base, rem = divmod(n, stream_count)
@@ -234,7 +302,7 @@ def _reference_tally(params, seed, stream_count, n, schemes, with_rates):
         stream, shard, done = GainStream(seed, i), PopulationTally(), 0
         while done < size:
             m = min(estimator._BLOCK, size - done)
-            shard.merge(tally_population(params, *stream.gains(m), schemes, with_rates))
+            shard.merge(tally(params, *stream.gains(m), schemes, with_rates))
             done += m
         total.merge(shard)
     return total
@@ -374,6 +442,58 @@ class TestKeptDrawSet:
                 assert got == [[expected[key]] * 3 for key in keys]
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestBlocksAboveStrip:
+    """Shard blocks larger than _STRIP, streamed and kept, at several worker counts."""
+
+    KEY = (48, 3, 120_000)  # three shards of one 40,000-draw block each
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rates_equal_unsplit_one_tally_per_block(self, workers, monkeypatch, empty_kept_set):
+        params = make_params(12.0, 17.0, 1.0, 1.5)
+        schemes = tuple(SECONDARY)
+        expected = _reference_tally(params, *self.KEY, schemes, True, tally=_unsplit_tally)
+        sizes = []
+        tally = estimator.tally_population
+
+        def counted(params, g0, g1, *args, **kwargs):
+            sizes.append(g0.size)
+            return tally(params, g0, g1, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "tally_population", counted)
+        seed, stream_count, n = self.KEY
+        for kept in (0, 1, 1):  # a new key streams; a repeat keeps the set, then tallies it
+            sizes.clear()
+            got = simulate_tally(params, SamplerConfig(seed=seed, stream_count=stream_count), n,
+                                 schemes, with_rates=True, workers=workers)
+            assert got == expected
+            assert estimator._kept_shards.cache_info().currsize == kept
+            assert sizes == [40_000] * 3  # one tally_population call per block, not per strip
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3, 2.7, "2"])
+    def test_bad_argument_raises(self, workers):
+        with pytest.raises(ParameterError, match="workers must be an integer"):
+            estimator._worker_count(workers)
+
+    @pytest.mark.parametrize("env", ["0", "-2", "abc", "2.5"])
+    def test_bad_environment_raises(self, env, monkeypatch):
+        monkeypatch.setenv("CRNOMA_WORKERS", env)
+        with pytest.raises(ParameterError, match=f"CRNOMA_WORKERS must be an integer.*{env!r}"):
+            estimator._worker_count(None)
+
+    def test_good_counts(self, monkeypatch):
+        monkeypatch.setenv("CRNOMA_WORKERS", "3")
+        assert estimator._worker_count(None) == 3
+        assert estimator._worker_count(np.int64(2)) == 2  # the argument wins over the environment
+        monkeypatch.setenv("CRNOMA_WORKERS", "")
+        assert 1 <= estimator._worker_count(None) <= 2
+
+    def test_simulate_tally_refuses_zero_workers(self, params_10db):
+        with pytest.raises(ParameterError, match="workers"):
+            simulate_tally(params_10db, SamplerConfig(seed=1), 1_000, workers=0)
 
 
 def test_import_does_not_load_scipy():

@@ -265,12 +265,17 @@ def total_outage(scheme: SchemeId, params: SystemParams) -> float:
 
 
 def total_outage_high_snr(scheme: SchemeId, params: SystemParams) -> float:
-    """Headline high-SNR total outage: eta1, plus the QoS-SIC floor where it exists."""
+    """Headline high-SNR total outage: eta1, plus the QoS-SIC floor where it exists.
+
+    This is an asymptote, not a probability, and is returned unchecked for
+    every scheme, as ``rs_high_snr`` does: at low SNR it exceeds 1 (eta1 is
+    18.92 at p1 = -20 dB, r1 = 0.25), where the approximation does not apply.
+    """
     c = derive_constants(params)
     if scheme in (SchemeId.RS, SchemeId.NH_SIC):
         return c.eta1
     if scheme is SchemeId.QOS_SIC:
-        return _as_probability(c.eta1 + qos_sic_outage_floor(params), "total_outage_high_snr[qos-sic]")
+        return c.eta1 + qos_sic_outage_floor(params)
     raise UnknownSchemeError(f"no high-SNR approximation for {scheme}")
 
 

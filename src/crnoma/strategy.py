@@ -68,7 +68,7 @@ class RsDecision:
     transmits: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransmissionOutcome:
     """Per-realization result of one scheme.
 
@@ -240,7 +240,8 @@ def evaluate_outcome(scheme: SchemeId, params: SystemParams, chan: ChannelRealiz
     Primary outage is the orthogonal-access condition g0 < eta0 for every
     scheme; that is the admission contract the secondary schemes preserve.
     """
-    rule = _scalar_rule(params, chan, True)
+    # OMA_PRIMARY reads only primary_outage, so its rule skips the rates
+    rule = _scalar_rule(params, chan, scheme is not SchemeId.OMA_PRIMARY)
     own = rule.scheme(scheme)
     if own is None:
         return TransmissionOutcome(scheme=scheme, primary_outage=rule.primary_outage)

@@ -291,6 +291,14 @@ class TestThroughputAndReport:
         qos = total_outage_high_snr(SchemeId.QOS_SIC, params)
         assert qos == pytest.approx(c_eta1 + qos_sic_outage_floor(params), abs=1e-15)
 
+    def test_hi_snr_headline_is_returned_raw_at_low_snr(self):
+        # an asymptote, not a probability: it exceeds 1 at -20 dB instead of raising
+        params = make_params(-20.0, -20.0, 0.25, 0.25)
+        report = analytic_report(SchemeId.QOS_SIC, params)
+        expected = derive_constants(params).eta1 + qos_sic_outage_floor(params)
+        assert expected > 1.0
+        assert report.pout_total_hi_snr == expected
+
     def test_total_near_eta1_at_30db(self):
         params = make_params(30.0, 30.0, 1.0, 1.0)
         assert rs_total_outage(params) == pytest.approx(1e-3, rel=0.1)

@@ -233,3 +233,20 @@ def test_python_dash_m_runs_the_cli():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: crnoma")
+
+
+@pytest.mark.parametrize("argv", [
+    ("selftest", "--samples", "2e5"),
+    ("outage", "--engine", "both", "--scheme", "rs", "--p0-db", "10", "--p1-db", "10",
+     "--r0", "1", "--r1", "1", "--samples", "1e5"),
+])
+def test_cli_runs_with_scipy_blocked(argv):
+    # None in sys.modules makes every scipy import raise ImportError
+    src = str(Path(crnoma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            f"sys.argv = ['crnoma', *{list(argv)!r}]; "
+            "runpy.run_module('crnoma', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

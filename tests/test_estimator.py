@@ -499,9 +499,10 @@ class TestWorkerCount:
 def test_import_does_not_load_scipy():
     src = str(Path(crnoma.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import crnoma, sys; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    code = ("import crnoma, sys; assert 'scipy' not in sys.modules, sorted(sys.modules); "
+            "p = crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0); "
+            "assert crnoma.case_ii_outage_quadrature(p) > 0.0; "
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the quadrature imports scipy on first use
-    assert crnoma.case_ii_outage_quadrature(make_params(10.0, 10.0, 1.0, 1.0)) > 0.0

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -164,6 +166,17 @@ class TestEvaluateOutcome:
         out = evaluate_outcome(SchemeId.OMA_PRIMARY, params, chan)
         assert out.secondary_rate is None and out.secondary_outage is None
         assert out.primary_outage is False
+
+    def test_outcome_is_a_value(self):
+        params, chan = SCENARIO_ONE
+        out = evaluate_outcome(SchemeId.RS, params, chan)
+        twin = evaluate_outcome(SchemeId.RS, params, chan)
+        assert out == twin and hash(out) == hash(twin)
+        assert pickle.loads(pickle.dumps(out)) == out
+        flipped = dataclasses.replace(out, secondary_outage=True)
+        assert flipped != out and flipped.secondary_rate == out.secondary_rate
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.secondary_outage = True
 
     def test_primary_outage_is_scheme_independent(self):
         params = SystemParams(p0=1.0, p1=1.0, r0_hat=2.0, r1_hat=1.0)

@@ -14,7 +14,6 @@ from .analytic import (
     case_ii_outage_gap,
     conditional_case_ii_outage,
     delay_limited_throughput,
-    exp_strip_integral,
     nh_sic_case_ii_outage,
     primary_outage_probability,
     qos_sic_case_ii_outage,
@@ -61,9 +60,8 @@ from .params import (
     SystemParams,
     db_to_linear,
     derive_constants,
-    linear_to_db,
 )
-from .quadrature import QuadratureSpec, case_ii_outage_quadrature
+from .quadrature import case_ii_outage_quadrature
 from .strategy import (
     CaseLabel,
     RsDecision,
@@ -71,9 +69,7 @@ from .strategy import (
     TransmissionOutcome,
     benchmark_rate_nh_sic,
     benchmark_rate_qos_sic,
-    case_of,
     evaluate_outcome,
-    interference_threshold,
     received_sinrs,
     rs_decide,
 )

@@ -13,13 +13,26 @@ combined before exponentiation and each term picks an evaluation branch
 of width*(1+nu), so the 1e-6-and-below probabilities at high SNR survive
 cancellation and nothing overflows in the p1 << p0 regimes.
 
+Every closed form is assembled from five terms, each written once:
+
+    admission strip    exp(1/p1) * J(1/(p1*eta0); eta0, hi)
+    first-clear strip  exp(-eta1) * J(p0*eta1; eta0, hi)
+    RS crossing strip  exp(-(eps0+eps1+eps0*eps1)/p1) * J(-p0/p1; eta0, hi)
+    case-III clear     exp(-eta1) * (1 - exp(-eta0*k)) / k,  k = p0*eta1 + 1
+    strip end          eta0*(1+eps1)
+
+and one function, ``_case_ii_raw``, picks each scheme's case-II strips.
+
 Probabilities are clamped to [0, 1] only after checking the raw value lies in
 [-1e-9, 1 + 1e-9]; a worse violation raises instead of hiding a broken formula.
+Where the admission probability underflows (eta0 above ~708), the conditional
+outage drops the factor exp(-eta0) that it shares with every case-II term.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, ProbabilityRangeError, UnknownSchemeError
@@ -59,36 +72,58 @@ def _scaled_strip(log_scale: float, nu: float, lo: float, hi: float | None) -> f
     return math.exp(log_scale - lo * t) * (-math.expm1(-x)) / t
 
 
-def exp_strip_integral(nu: float, eta0: float, eps1: float) -> float:
-    """integral of exp(-(1 + nu) y) over the case-II gain strip [eta0, eta0*(1+eps1)].
-
-    Equals (exp(-eta0*(nu+1)) - exp(-eta0*(nu+1)*(1+eps1))) / (nu + 1) away
-    from nu = -1 and eta0*eps1 at the removable singularity.
-    """
-    if eta0 <= 0.0 or eps1 < 0.0 or not math.isfinite(nu):
-        raise ParameterError(f"invalid strip arguments nu={nu!r}, eta0={eta0!r}, eps1={eps1!r}")
-    return _scaled_strip(0.0, nu, eta0, eta0 * (1.0 + eps1))
+def _strip_end(c: DerivedConstants) -> float:
+    """eta0*(1+eps1): where the RS and NH-SIC case-II g1 intervals close."""
+    return c.eta0 * (1.0 + c.eps1)
 
 
-def _case_ii_terms(params: SystemParams, c: DerivedConstants) -> tuple[float, float]:
-    """(nu, log-prefactor) pair of the admission-side term shared by all schemes."""
-    nu1 = 1.0 / (params.p1 * c.eta0)
-    return nu1, 1.0 / params.p1
+def _admission_strip(params: SystemParams, c: DerivedConstants, hi: float | None,
+                     shift: float = 0.0) -> float:
+    """exp(1/p1) * J(1/(p1*eta0); eta0, hi): admitted with p1*g1 above tau, every scheme."""
+    return _scaled_strip(1.0 / params.p1 + shift, 1.0 / (params.p1 * c.eta0), c.eta0, hi)
 
 
-def _rs_crossing_strip(params: SystemParams, c: DerivedConstants, hi: float) -> float:
+def _first_clear_strip(params: SystemParams, c: DerivedConstants, hi: float | None,
+                       shift: float = 0.0) -> float:
+    """exp(-eta1) * J(p0*eta1; eta0, hi): U1 clears eps1 decoded before x0."""
+    return _scaled_strip(-c.eta1 + shift, params.p0 * c.eta1, c.eta0, hi)
+
+
+def _rs_crossing_strip(params: SystemParams, c: DerivedConstants, hi: float,
+                       shift: float = 0.0) -> float:
     """exp(-(eps0+eps1+eps0*eps1)/p1) * J(-p0/p1; eta0, hi), the strip RS's case-II rate clears."""
     crossing = c.eps0 + c.eps1 + c.eps0 * c.eps1
-    return _scaled_strip(-crossing / params.p1, -params.p0 / params.p1, c.eta0, hi)
+    return _scaled_strip(-crossing / params.p1 + shift, -params.p0 / params.p1, c.eta0, hi)
 
 
-def _baseline_case_ii_outage(params: SystemParams, c: DerivedConstants, hi: float | None,
-                             what: str) -> float:
-    """exp(1/p1) * J(1/(p1*eta0)) - exp(-eta1) * J(p0*eta1), both strips over [eta0, hi]."""
-    nu1, log1 = _case_ii_terms(params, c)
-    raw = (_scaled_strip(log1, nu1, c.eta0, hi)
-           - _scaled_strip(-c.eta1, params.p0 * c.eta1, c.eta0, hi))
-    return _as_probability(raw, what)
+def _case_iii_clear(params: SystemParams, c: DerivedConstants) -> float:
+    """exp(-eta1) * (1 - exp(-eta0*k)) / k with k = p0*eta1 + 1: case III without outage."""
+    k = params.p0 * c.eta1 + 1.0
+    return math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k
+
+
+def _case_ii_raw(scheme: SchemeId, params: SystemParams, c: DerivedConstants,
+                 shift: float = 0.0) -> float:
+    """Unclamped case-II outage of one scheme times exp(shift), shift added to each strip's log-scale.
+
+    RS: admission - crossing strip. NH-SIC: admission - first-clear strip.
+    QoS-SIC: as NH-SIC, to eta0*(1+eps1)/(1 - eps0*eps1), or to infinity once eps0*eps1 >= 1.
+    """
+    hi: float | None = _strip_end(c)
+    if scheme is SchemeId.RS:
+        return _admission_strip(params, c, hi, shift) - _rs_crossing_strip(params, c, hi, shift)
+    if scheme is SchemeId.QOS_SIC:
+        product = c.eps0 * c.eps1
+        hi = hi / (1.0 - product) if product < 1.0 else None
+    elif scheme is not SchemeId.NH_SIC:
+        raise UnknownSchemeError(f"no closed-form case-II outage for {scheme}")
+    return _admission_strip(params, c, hi, shift) - _first_clear_strip(params, c, hi, shift)
+
+
+def case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
+    """P{case II, secondary outage} of RS, NH-SIC or QoS-SIC."""
+    return _as_probability(_case_ii_raw(scheme, params, derive_constants(params)),
+                           f"case_ii_outage[{scheme.value}]")
 
 
 def rs_case_ii_outage(params: SystemParams) -> float:
@@ -97,28 +132,21 @@ def rs_case_ii_outage(params: SystemParams) -> float:
     exp(1/p1) * J(1/(p1*eta0)) - exp(-(eps0+eps1+eps0*eps1)/p1) * J(-p0/p1),
     both strips over [eta0, eta0*(1+eps1)].
     """
-    c = derive_constants(params)
-    hi = c.eta0 * (1.0 + c.eps1)
-    nu1, log1 = _case_ii_terms(params, c)
-    raw = _scaled_strip(log1, nu1, c.eta0, hi) - _rs_crossing_strip(params, c, hi)
-    return _as_probability(raw, "rs_case_ii_outage")
+    return case_ii_outage(SchemeId.RS, params)
 
 
 def rs_case_i_outage(params: SystemParams) -> float:
     """P{tau > 0, p1*g1 <= tau, log2(1 + p1*g1) < target}."""
     c = derive_constants(params)
-    nu1, log1 = _case_ii_terms(params, c)
-    raw = (math.exp(-c.eta0)
-           - _scaled_strip(log1, nu1, c.eta0, c.eta0 * (1.0 + c.eps1))
-           - math.exp(-c.eta0 * (1.0 + c.eps1) - c.eta1))
+    hi = _strip_end(c)
+    raw = math.exp(-c.eta0) - _admission_strip(params, c, hi) - math.exp(-hi - c.eta1)
     return _as_probability(raw, "rs_case_i_outage")
 
 
 def rs_case_iii_outage(params: SystemParams) -> float:
     """P{tau = 0, log2(1 + p1*g1/(p0*g0 + 1)) < target}."""
     c = derive_constants(params)
-    k = params.p0 * c.eta1 + 1.0
-    raw = 1.0 - math.exp(-c.eta0) - math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k
+    raw = 1.0 - math.exp(-c.eta0) - _case_iii_clear(params, c)
     return _as_probability(raw, "rs_case_iii_outage")
 
 
@@ -132,11 +160,8 @@ def rs_total_outage(params: SystemParams) -> float:
     The three per-case terms sum to this identically; tests pin the identity.
     """
     c = derive_constants(params)
-    k = params.p0 * c.eta1 + 1.0
-    raw = (1.0
-           - math.exp(-c.eta0 * (1.0 + c.eps1) - c.eta1)
-           - _rs_crossing_strip(params, c, c.eta0 * (1.0 + c.eps1))
-           - math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k)
+    hi = _strip_end(c)
+    raw = 1.0 - math.exp(-hi - c.eta1) - _rs_crossing_strip(params, c, hi) - _case_iii_clear(params, c)
     return _as_probability(raw, "rs_total_outage")
 
 
@@ -171,12 +196,7 @@ def qos_sic_case_ii_outage(params: SystemParams) -> float:
     outage floor. Both branches are the exact finite-SNR integrals and meet
     continuously at eps0*eps1 = 1.
     """
-    c = derive_constants(params)
-    product = c.eps0 * c.eps1
-    hi: float | None = None
-    if product < 1.0:
-        hi = c.eta0 * (1.0 + c.eps1) / (1.0 - product)
-    return _baseline_case_ii_outage(params, c, hi, "qos_sic_case_ii_outage")
+    return case_ii_outage(SchemeId.QOS_SIC, params)
 
 
 def qos_sic_outage_floor(params: SystemParams) -> float:
@@ -201,8 +221,7 @@ def nh_sic_case_ii_outage(params: SystemParams) -> float:
     exp(1/p1) * J(1/(p1*eta0)) - exp(-eta1) * J(p0*eta1), strips over
     [eta0, eta0*(1+eps1)].
     """
-    c = derive_constants(params)
-    return _baseline_case_ii_outage(params, c, c.eta0 * (1.0 + c.eps1), "nh_sic_case_ii_outage")
+    return case_ii_outage(SchemeId.NH_SIC, params)
 
 
 def case_ii_outage_gap(params: SystemParams) -> float:
@@ -212,9 +231,8 @@ def case_ii_outage_gap(params: SystemParams) -> float:
     Equals nh_sic_case_ii_outage - rs_case_ii_outage identically.
     """
     c = derive_constants(params)
-    hi = c.eta0 * (1.0 + c.eps1)
-    raw = (_rs_crossing_strip(params, c, hi)
-           - _scaled_strip(-c.eta1, params.p0 * c.eta1, c.eta0, hi))
+    hi = _strip_end(c)
+    raw = _rs_crossing_strip(params, c, hi) - _first_clear_strip(params, c, hi)
     return _as_probability(raw, "case_ii_outage_gap")
 
 
@@ -232,26 +250,20 @@ def primary_outage_probability(params: SystemParams) -> float:
     return _as_probability(-math.expm1(-c.eta0), "primary_outage_probability")
 
 
-_CASE_II_BY_SCHEME = {
-    SchemeId.RS: rs_case_ii_outage,
-    SchemeId.NH_SIC: nh_sic_case_ii_outage,
-    SchemeId.QOS_SIC: qos_sic_case_ii_outage,
-}
-
-
-def case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
-    try:
-        return _CASE_II_BY_SCHEME[scheme](params)
-    except KeyError:
-        raise UnknownSchemeError(f"no closed-form case-II outage for {scheme}") from None
-
-
 def conditional_case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
-    """Case-II outage conditioned on the case-II event itself."""
+    """Case-II outage conditioned on the case-II event itself.
+
+    Below the smallest normal float (0 included), the admission probability
+    k*exp(-eta0)/(1 + k), k = p1*eta0, is replaced by k/(1 + k) and the case-II
+    strips are shifted by eta0 in log-scale: the same ratio, without the underflow.
+    """
     denom = admission_probability(params)
-    if denom <= 0.0:
-        raise ParameterError("admission probability underflowed to 0; conditional outage undefined")
-    return _as_probability(case_ii_outage(scheme, params) / denom, "conditional_case_ii_outage")
+    if denom >= sys.float_info.min:
+        return _as_probability(case_ii_outage(scheme, params) / denom, "conditional_case_ii_outage")
+    c = derive_constants(params)
+    k = params.p1 * c.eta0
+    raw = _case_ii_raw(scheme, params, c, shift=c.eta0) / (k / (1.0 + k))
+    return _as_probability(raw, "conditional_case_ii_outage")
 
 
 def total_outage(scheme: SchemeId, params: SystemParams) -> float:

@@ -194,51 +194,45 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     if want_mc:
         workers = _worker_count(workers)
 
+    cells = [(scheme, metric) for scheme in spec.schemes for metric in spec.metrics]
+
+    def fail(engine: str, exc: Exception, failed: list[tuple[SchemeId, Metric]]) -> None:
+        result.failures.extend(CellFailure(axis_value, scheme, metric, engine, str(exc))
+                               for scheme, metric in failed)
+
     for axis_value in spec.axis_values:
         try:
             params = spec.params_at(axis_value)
         except Exception as exc:  # a bad cell must not kill the sweep
-            for scheme in spec.schemes:
-                for metric in spec.metrics:
-                    result.failures.append(CellFailure(axis_value, scheme, metric, spec.engine, str(exc)))
+            fail(spec.engine, exc, cells)
             continue
 
         if want_analytic:
-            for scheme in spec.schemes:
-                for metric in spec.metrics:
-                    try:
-                        value = _analytic_value(scheme, metric, params)
-                    except UnknownSchemeError as exc:
-                        if spec.engine == "ANALYTIC":
-                            result.failures.append(
-                                CellFailure(axis_value, scheme, metric, "ANALYTIC", str(exc)))
-                        continue
-                    except Exception as exc:
-                        result.failures.append(
-                            CellFailure(axis_value, scheme, metric, "ANALYTIC", str(exc)))
-                        continue
-                    result.rows.append(SweepRow(axis_value, scheme, metric, "ANALYTIC", value))
+            for scheme, metric in cells:
+                try:
+                    value = _analytic_value(scheme, metric, params)
+                except Exception as exc:
+                    # under BOTH, a cell without a closed form is simulation-only
+                    if spec.engine == "ANALYTIC" or not isinstance(exc, UnknownSchemeError):
+                        fail("ANALYTIC", exc, [(scheme, metric)])
+                    continue
+                result.rows.append(SweepRow(axis_value, scheme, metric, "ANALYTIC", value))
 
         if want_mc:
             try:
                 tally = simulate_tally(params, sampler, spec.n_samples, tuple(spec.schemes),
                                        with_rates=_needs_rates(spec.metrics), workers=workers)
             except Exception as exc:
-                for scheme in spec.schemes:
-                    for metric in spec.metrics:
-                        result.failures.append(
-                            CellFailure(axis_value, scheme, metric, "MONTE_CARLO", str(exc)))
+                fail("MONTE_CARLO", exc, cells)
                 continue
-            for scheme in spec.schemes:
-                for metric in spec.metrics:
-                    try:
-                        est = estimate_from_tally(scheme, metric, params, tally)
-                    except Exception as exc:
-                        result.failures.append(
-                            CellFailure(axis_value, scheme, metric, "MONTE_CARLO", str(exc)))
-                        continue
-                    result.rows.append(SweepRow(axis_value, est.scheme, est.metric,
-                                                "MONTE_CARLO", est.mean, est.std_error))
+            for scheme, metric in cells:
+                try:
+                    est = estimate_from_tally(scheme, metric, params, tally)
+                except Exception as exc:
+                    fail("MONTE_CARLO", exc, [(scheme, metric)])
+                    continue
+                result.rows.append(SweepRow(axis_value, est.scheme, est.metric,
+                                            "MONTE_CARLO", est.mean, est.std_error))
     return result
 
 

@@ -1,7 +1,7 @@
 """System parameters, derived constants, and channel-gain containers.
 
 Powers are linear transmit SNRs (noise power normalized to 1); target rates
-are in bits per channel use (BPCU). The dB <-> linear helpers exist for the
+are in bits per channel use (BPCU). The dB -> linear helper exists for the
 CLI boundary only; the library API is linear throughout.
 """
 
@@ -16,12 +16,6 @@ from .errors import ParameterError
 
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    if value <= 0.0:
-        raise ParameterError(f"cannot express {value!r} in dB")
-    return 10.0 * math.log10(value)
 
 
 def _require_positive_finite(name: str, value: float) -> float:

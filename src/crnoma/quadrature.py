@@ -11,7 +11,9 @@ The outer integral is computed by QUADPACK's QAG scheme (Piessens,
 de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*, Springer 1983): the
 21-point Gauss-Kronrod rule QK21, with its embedded 10-point Gauss rule as the
 error estimate, and globally adaptive bisection of the interval with the
-largest error until the summed estimate meets the tolerance. The integrand is
+largest error until the summed estimate meets the tolerance: an absolute
+or relative error of 1e-12 (``_ABS_TOL``, ``_REL_TOL``), reached within 200
+subintervals (``_MAX_SUBDIVISIONS``) or the call raises. The integrand is
 an entire function on a finite interval, so QAGS's epsilon-algorithm
 extrapolation, which targets endpoint singularities, would buy nothing here.
 
@@ -24,10 +26,9 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from operator import mul
 
-from .errors import ParameterError, QuadratureError
+from .errors import QuadratureError
 from .params import SystemParams, derive_constants
 
 _PROBABILITY_SLACK = 1e-9
@@ -56,19 +57,9 @@ _EPS = sys.float_info.epsilon
 _ROUNDOFF_FLOOR_MIN = sys.float_info.min / (50.0 * _EPS)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance contract for the adaptive rule; the rule itself is not part of it."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ParameterError("quadrature tolerances must be positive")
-        if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be a positive integer")
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-12
+_MAX_SUBDIVISIONS = 200
 
 
 def _qk21(f, a: float, b: float) -> tuple[float, float]:
@@ -93,15 +84,13 @@ def _qk21(f, a: float, b: float) -> tuple[float, float]:
     return resk * half, err
 
 
-def _qag(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Globally adaptive QK21: bisect the largest-error interval until the sum meets the spec."""
+def _qag(f, a: float, b: float) -> float:
+    """Globally adaptive QK21: bisect the largest-error interval until the sum meets the tolerance."""
     value, err = _qk21(f, a, b)
-    if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-        return value
     heap = [(-err, a, b, value)]  # max-heap on the error estimate
     total_err = err
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(value)):
-        if len(heap) >= spec.max_subdivisions:
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(value)):
+        if len(heap) >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"case-II quadrature did not converge on [{a!r}, {b!r}]: error estimate "
                 f"{total_err!r} after {len(heap)} subintervals")
@@ -132,14 +121,14 @@ def _outer_integrand(params: SystemParams, eps0: float, eps1: float):
     return integrand
 
 
-def case_ii_outage_quadrature(params: SystemParams, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def case_ii_outage_quadrature(params: SystemParams) -> float:
     """RS case-II outage probability by adaptive quadrature of the g0 integral."""
     c = derive_constants(params)
     lo = c.eta0
     hi = c.eta0 * (1.0 + c.eps1)
     if hi <= lo:
         return 0.0
-    value = _qag(_outer_integrand(params, c.eps0, c.eps1), lo, hi, spec)
+    value = _qag(_outer_integrand(params, c.eps0, c.eps1), lo, hi)
     if not math.isfinite(value) or value < -_PROBABILITY_SLACK or value > 1.0 + _PROBABILITY_SLACK:
         raise QuadratureError(f"case-II quadrature produced a non-probability: {value!r}")
     return min(1.0, max(0.0, value))

@@ -177,12 +177,6 @@ def _scalar_rule(params: SystemParams, chan: ChannelRealization, with_rates: boo
                  with_rates, _SCALAR)
 
 
-def interference_threshold(params: SystemParams, g0: float) -> float:
-    """Largest secondary interference power U0 tolerates; 0 iff U0 is in outage."""
-    # tau does not depend on U1's gain
-    return _Rule(derive_constants(params), params.p0 * g0, 0.0, False, _SCALAR).tau
-
-
 def received_sinrs(params: SystemParams, chan: ChannelRealization, alpha: float) -> tuple[float, float, float]:
     """SINRs for decoding x11, x0, x12 under the order x11 -> x0 -> x12.
 
@@ -198,11 +192,6 @@ def received_sinrs(params: SystemParams, chan: ChannelRealization, alpha: float)
     gamma11 = alpha * p1g1 / (p0g0 + residual + 1.0)
     gamma0 = p0g0 / (residual + 1.0)
     return gamma11, gamma0, residual
-
-
-def case_of(params: SystemParams, chan: ChannelRealization) -> CaseLabel:
-    """Which of the three mutually exclusive operating cases holds."""
-    return _scalar_rule(params, chan, False).case_label()
 
 
 def rs_decide(params: SystemParams, chan: ChannelRealization) -> RsDecision:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,17 +8,16 @@ from scipy.integrate import quad
 
 from crnoma import (
     AnalyticReport,
-    ParameterError,
     SchemeId,
     SystemParams,
     admission_probability,
     analytic_report,
+    case_ii_outage,
     case_ii_outage_gap,
     conditional_case_ii_outage,
     db_to_linear,
     delay_limited_throughput,
     derive_constants,
-    exp_strip_integral,
     nh_sic_case_ii_outage,
     primary_outage_probability,
     qos_sic_case_ii_outage,
@@ -30,6 +30,7 @@ from crnoma import (
     total_outage,
     total_outage_high_snr,
 )
+from crnoma.analytic import _case_ii_raw, _scaled_strip
 from crnoma.selftest import parameter_grid
 
 from conftest import make_params
@@ -61,35 +62,34 @@ def _qos_region_quadrature(params: SystemParams) -> float:
     return value
 
 
+def _case_ii_strip(nu: float, eta0: float, eps1: float) -> float:
+    """J(nu) over the case-II gain strip [eta0, eta0*(1+eps1)]."""
+    return _scaled_strip(0.0, nu, eta0, eta0 * (1.0 + eps1))
+
+
 class TestStripIntegral:
     def test_limit_value_at_minus_one(self):
-        assert exp_strip_integral(-1.0, 0.3, 1.0) == pytest.approx(0.3, abs=1e-15)
+        assert _case_ii_strip(-1.0, 0.3, 1.0) == pytest.approx(0.3, abs=1e-15)
 
     def test_vanishes_with_zero_width(self):
-        assert exp_strip_integral(0.5, 0.3, 0.0) == 0.0
+        assert _case_ii_strip(0.5, 0.3, 0.0) == 0.0
 
     def test_general_branch_value(self):
         # exp(-0.3) - exp(-0.6), by direct evaluation
-        assert exp_strip_integral(0.0, 0.3, 1.0) == pytest.approx(0.19200658458769143, abs=1e-15)
+        assert _case_ii_strip(0.0, 0.3, 1.0) == pytest.approx(0.19200658458769143, abs=1e-15)
 
     @pytest.mark.parametrize("delta", [1e-6, -1e-6, 1e-9, -1e-9])
     def test_continuity_across_singularity(self, delta):
         eta0, eps1 = 0.25, 1.5
         scale = eta0 * eps1
-        assert abs(exp_strip_integral(-1.0 + delta, eta0, eps1) - scale) <= 1e-6 * scale
+        assert abs(_case_ii_strip(-1.0 + delta, eta0, eps1) - scale) <= 1e-6 * scale
 
     def test_series_matches_generic_branch_at_cutoff(self):
         # the two evaluation branches may not jump where they hand over
         eta0, eps1 = 0.4, 2.0
-        below = exp_strip_integral(-1.0 + 0.999e-6, eta0, eps1)
-        above = exp_strip_integral(-1.0 + 1.001e-6, eta0, eps1)
+        below = _case_ii_strip(-1.0 + 0.999e-6, eta0, eps1)
+        above = _case_ii_strip(-1.0 + 1.001e-6, eta0, eps1)
         assert below == pytest.approx(above, rel=1e-8)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ParameterError):
-            exp_strip_integral(0.0, -1.0, 1.0)
-        with pytest.raises(ParameterError):
-            exp_strip_integral(float("nan"), 0.3, 1.0)
 
 
 class TestRsOutage:
@@ -249,11 +249,40 @@ class TestAdmissionAndConditional:
         rs_lo = conditional_case_ii_outage(SchemeId.RS, make_params(35.0, 35.0, 2.0, 2.0))
         assert rs_hi < 0.5 * rs_lo
 
-    def test_underflowing_admission_raises(self):
+    def test_conditional_with_underflowing_admission(self):
+        # eta0 = 1500 and 1.02e6: the admission probability is 0.0, the ratio is not;
+        # references are mpmath integrals of the event at 40 digits
+        params = make_params(-20.0, 10.0, 4.0, 1.0)
+        assert admission_probability(params) == 0.0
+        expected = {SchemeId.RS: 0.79788791014762590706, SchemeId.NH_SIC: 0.79829173050697130985,
+                    SchemeId.QOS_SIC: 0.79829173050697130985}
+        for scheme, value in expected.items():
+            assert conditional_case_ii_outage(scheme, params) == pytest.approx(value, rel=1e-12)
         params = SystemParams(p0=1e-3, p1=10.0, r0_hat=10.0, r1_hat=1.0)
         assert admission_probability(params) == 0.0
-        with pytest.raises(ParameterError):
-            conditional_case_ii_outage(SchemeId.RS, params)
+        for scheme in expected:
+            assert conditional_case_ii_outage(scheme, params) == pytest.approx(1.0, abs=1e-9)
+
+    def test_conditional_routes_meet_where_admission_underflows(self):
+        # below eta0 ~ 708 the ratio of the two probabilities is taken; above it
+        # both lose their common factor exp(-eta0) first
+        routes = set()
+        for eta0 in np.linspace(700.0, 760.0, 61):
+            for p1, r1 in ((10.0, 1.0), (1.0, 0.5), (100.0, 2.0)):
+                params = SystemParams(p0=1.0 / eta0, p1=p1, r0_hat=1.0, r1_hat=r1)
+                c = derive_constants(params)
+                k = params.p1 * c.eta0
+                routes.add(admission_probability(params) >= sys.float_info.min)
+                for scheme in (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC):
+                    shifted = _case_ii_raw(scheme, params, c, shift=c.eta0) / (k / (1.0 + k))
+                    assert conditional_case_ii_outage(scheme, params) == pytest.approx(
+                        shifted, rel=0.0, abs=1e-15)
+        assert routes == {True, False}
+
+    def test_csi_conditional_has_no_closed_form_when_admission_underflows(self):
+        from crnoma import UnknownSchemeError
+        with pytest.raises(UnknownSchemeError):
+            conditional_case_ii_outage(SchemeId.CSI_SIC, make_params(-20.0, 10.0, 4.0, 1.0))
 
 
 class TestThroughputAndReport:
@@ -307,3 +336,68 @@ class TestThroughputAndReport:
         from crnoma import UnknownSchemeError
         with pytest.raises(UnknownSchemeError):
             total_outage(SchemeId.CSI_SIC, make_params(10.0, 10.0, 1.0, 1.0))
+
+
+def _mp_case_ii_outage(scheme: SchemeId, params: SystemParams, conditional: bool):
+    """The scheme's case-II outage event integrated at 30 digits: the g1 interval in closed form, g0 by mp.quad.
+
+    conditional divides by the admission probability, with both sides
+    multiplied by exp(eta0) so neither underflows.
+    """
+    from mpmath import mp
+
+    with mp.workdps(30):
+        p0, p1 = mp.mpf(params.p0), mp.mpf(params.p1)
+        eps0, eps1 = mp.mpf(2) ** params.r0_hat - 1, mp.mpf(2) ** params.r1_hat - 1
+        eta0 = eps0 / p0
+        hi = eta0 * (1 + eps1)  # where the RS and NH-SIC intervals close
+        if scheme is SchemeId.RS:
+            def upper(y):
+                return ((1 + eps0) * (1 + eps1) - 1 - p0 * y) / p1
+        else:
+            def upper(y):
+                return eps1 * (1 + p0 * y) / p1
+            if scheme is SchemeId.QOS_SIC:
+                # the QoS kink: the interval closes here, or never once eps0*eps1 >= 1
+                hi = hi / (1 - eps0 * eps1) if eps0 * eps1 < 1 else mp.inf
+        shift = eta0 if conditional else 0
+
+        def integrand(y):
+            return mp.exp(shift - y) * (mp.exp(-(p0 * y / eps0 - 1) / p1) - mp.exp(-upper(y)))
+
+        # the integrand decays on scales from below 1 to hundreds; with the
+        # endpoints alone, mp.quad is off by 5% at p0 = p1 = -20 dB on this grid
+        points = sorted({eta0 + d for d in (0, 0.5, 2, 8, 30, 100, 300) if eta0 + d < hi} | {hi})
+        value = mp.quad(integrand, points)
+        if conditional:
+            k = p1 * eta0
+            value /= k / (1 + k)
+        return value
+
+
+class TestRelativeAccuracy:
+    """Case-II closed forms against mpmath, to a relative bound that holds in the tails.
+
+    The grid spans -20..60 dB on each power and r in {0.25, 1, 4}, taken with
+    a stride over (point, scheme) pairs to keep the run short; it includes
+    cells whose admission probability underflows to 0. Below the smallest
+    normal float a double carries no relative precision, so that much
+    absolute slack is allowed.
+    """
+
+    def test_case_ii_and_conditional_within_1e_5(self):
+        pytest.importorskip("mpmath")
+        powers = (-20.0, 0.0, 20.0, 40.0, 60.0)
+        rates = (0.25, 1.0, 4.0)
+        cells = [(make_params(a, b, r0, r1), scheme)
+                 for a in powers for b in powers for r0 in rates for r1 in rates
+                 for scheme in (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC)][::5]
+        underflowing = set()
+        for params, scheme in cells:
+            for conditional, f in ((False, case_ii_outage), (True, conditional_case_ii_outage)):
+                ref = _mp_case_ii_outage(scheme, params, conditional)
+                value = f(scheme, params)
+                assert abs(value - ref) <= 1e-5 * ref + sys.float_info.min, (scheme, params, conditional)
+            if admission_probability(params) == 0.0:
+                underflowing.add(scheme)
+        assert underflowing == {SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC}

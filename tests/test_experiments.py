@@ -17,6 +17,7 @@ from crnoma import (
     run_sweep,
     save_spec,
 )
+from crnoma import experiments
 from crnoma.experiments import PRESET_NAMES, SweepResult, parse_csv
 
 
@@ -107,6 +108,29 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert {r.scheme for r in result.rows} == {SchemeId.RS}
         assert {f.scheme for f in result.failures} == {SchemeId.CSI_SIC}
+
+    def test_bad_axis_value_fails_each_of_its_cells_once(self):
+        spec = small_spec(axis="TARGET_RATE_R1", axis_values=(0.0, 1.0),
+                          fixed={"r0": 1.0, "p0_db": 10.0, "p1_db": 10.0},
+                          schemes=(SchemeId.RS, SchemeId.CSI_SIC),
+                          metrics=(Metric.OUTAGE_TOTAL, Metric.ADMISSION))
+        result = run_sweep(spec)  # r1 = 0 is not a valid target rate
+        failed = [(f.axis_value, f.scheme, f.metric, f.engine) for f in result.failures]
+        assert failed == [(0.0, s, m, "BOTH") for s in spec.schemes for m in spec.metrics]
+        assert {r.axis_value for r in result.rows} == {1.0}
+
+    def test_simulation_failure_fails_each_monte_carlo_cell_once(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(experiments, "simulate_tally", broken)
+        spec = small_spec(schemes=(SchemeId.RS, SchemeId.CSI_SIC),
+                          metrics=(Metric.OUTAGE_TOTAL, Metric.ADMISSION))
+        result = run_sweep(spec)
+        failed = [(f.axis_value, f.scheme, f.metric, f.engine, f.message) for f in result.failures]
+        assert failed == [(v, s, m, "MONTE_CARLO", "sampler broke")
+                          for v in spec.axis_values for s in spec.schemes for m in spec.metrics]
+        assert {r.engine for r in result.rows} == {"ANALYTIC"}
 
 
 class TestEmit:

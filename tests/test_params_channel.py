@@ -23,7 +23,6 @@ from crnoma import (
     delay_limited_throughput,
     derive_constants,
     evaluate_outcome,
-    linear_to_db,
 )
 
 
@@ -135,7 +134,6 @@ class TestConstantsMemo:
 
 def test_db_round_trip():
     assert db_to_linear(10.0) == pytest.approx(10.0)
-    assert linear_to_db(db_to_linear(13.7)) == pytest.approx(13.7)
 
 
 class TestSamplerConfig:

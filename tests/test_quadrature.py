@@ -4,14 +4,13 @@ import pytest
 from scipy.integrate import quad
 
 from crnoma import (
-    ParameterError,
     QuadratureError,
-    QuadratureSpec,
     SystemParams,
     case_ii_outage_quadrature,
     derive_constants,
     rs_case_ii_outage,
 )
+from crnoma import quadrature
 from crnoma.params import db_to_linear
 from crnoma.quadrature import _WG, _XK, _outer_integrand, _qk21
 from crnoma.selftest import parameter_grid
@@ -56,10 +55,17 @@ class TestUpperLimit:
         assert wider < right - 1e-4
 
 
+def _set_tolerance(monkeypatch, tol: float) -> None:
+    monkeypatch.setattr(quadrature, "_ABS_TOL", tol)
+    monkeypatch.setattr(quadrature, "_REL_TOL", tol)
+
+
 class TestSpecContract:
-    def test_halving_tolerance_is_self_consistent(self, params_10db):
-        loose = case_ii_outage_quadrature(params_10db, QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))
-        tight = case_ii_outage_quadrature(params_10db, QuadratureSpec(abs_tol=5e-9, rel_tol=5e-9))
+    def test_halving_tolerance_is_self_consistent(self, params_10db, monkeypatch):
+        _set_tolerance(monkeypatch, 1e-8)
+        loose = case_ii_outage_quadrature(params_10db)
+        _set_tolerance(monkeypatch, 5e-9)
+        tight = case_ii_outage_quadrature(params_10db)
         assert abs(loose - tight) < 1e-8
 
     def test_additive_under_interval_split(self, params_10db):
@@ -77,23 +83,19 @@ class TestSpecContract:
         right, _ = quad(integrand, mid, hi, epsabs=1e-13, epsrel=1e-13)
         assert left + right == pytest.approx(case_ii_outage_quadrature(params_10db), abs=1e-11)
 
-    def test_unreachable_tolerance_raises(self, params_10db):
+    def test_unreachable_tolerance_raises(self, params_10db, monkeypatch):
+        _set_tolerance(monkeypatch, 1e-300)
         with pytest.raises(QuadratureError):
-            case_ii_outage_quadrature(params_10db,
-                                      QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300))
+            case_ii_outage_quadrature(params_10db)
 
-    def test_subdivision_limit_raises_on_a_cell_that_needs_bisection(self):
+    def test_subdivision_limit_raises_on_a_cell_that_needs_bisection(self, monkeypatch):
         params = make_params(10.0, 10.0, 4.0, 4.0)
-        with pytest.raises(QuadratureError, match="did not converge"):
-            case_ii_outage_quadrature(params, QuadratureSpec(max_subdivisions=1))
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+            with pytest.raises(QuadratureError, match="did not converge"):
+                case_ii_outage_quadrature(params)
         assert case_ii_outage_quadrature(params) == pytest.approx(
             rs_case_ii_outage(params), abs=1e-12)
-
-    def test_spec_validation(self):
-        with pytest.raises(ParameterError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ParameterError):
-            QuadratureSpec(max_subdivisions=0)
 
 
 def test_matches_at_asymmetric_powers():

@@ -16,10 +16,8 @@ from crnoma import (
     UnknownSchemeError,
     benchmark_rate_nh_sic,
     benchmark_rate_qos_sic,
-    case_of,
     derive_constants,
     evaluate_outcome,
-    interference_threshold,
     received_sinrs,
     rs_decide,
     tally_population,
@@ -45,15 +43,15 @@ def random_inputs():
 class TestInterferenceThreshold:
     def test_scenario_one(self):
         params, chan = SCENARIO_ONE
-        assert interference_threshold(params, chan.g0) == pytest.approx(7.0 / 3.0, rel=1e-14)
+        assert rs_decide(params, chan).tau == pytest.approx(7.0 / 3.0, rel=1e-14)
 
     def test_scenario_two(self):
         params, chan = SCENARIO_TWO
-        assert interference_threshold(params, chan.g0) == pytest.approx(97.0 / 3.0, rel=1e-14)
+        assert rs_decide(params, chan).tau == pytest.approx(97.0 / 3.0, rel=1e-14)
 
     def test_clamps_to_zero(self):
         params = SystemParams(p0=1.0, p1=1.0, r0_hat=2.0, r1_hat=1.0)
-        assert interference_threshold(params, 2.9) == 0.0  # p0*g0 < eps0
+        assert rs_decide(params, ChannelRealization(g0=2.9, g1=1.0)).tau == 0.0  # p0*g0 < eps0
 
 
 class TestReceivedSinrs:
@@ -142,7 +140,7 @@ class TestBenchmarkRates:
     def test_nh_equals_qos_when_threshold_zero(self):
         params = SystemParams(p0=1.0, p1=10.0, r0_hat=2.0, r1_hat=1.0)
         chan = ChannelRealization(g0=1.0, g1=3.0)
-        assert interference_threshold(params, chan.g0) == 0.0
+        assert rs_decide(params, chan).tau == 0.0
         assert benchmark_rate_nh_sic(params, chan) == benchmark_rate_qos_sic(params, chan)
 
 
@@ -212,9 +210,9 @@ class TestEvaluateOutcome:
         checked = 0
         for i in range(g0.size):
             chan = ChannelRealization(g0=g0[i], g1=g1[i])
-            if case_of(params, chan) is CaseLabel.II:
-                continue
             rs = evaluate_outcome(SchemeId.RS, params, chan)
+            if rs.case_label is CaseLabel.II:
+                continue
             for scheme in (SchemeId.QOS_SIC, SchemeId.NH_SIC):
                 other = evaluate_outcome(scheme, params, chan)
                 assert other.secondary_outage == rs.secondary_outage
@@ -228,11 +226,11 @@ class TestInvariants:
     @given(random_inputs())
     def test_case_partition_exclusive_exhaustive(self, inputs):
         params, chan = inputs
-        tau = interference_threshold(params, chan.g0)
+        d = rs_decide(params, chan)
         p1g1 = params.p1 * chan.g1
-        conditions = [tau > 0 and p1g1 <= tau, tau > 0 and p1g1 > tau, tau == 0.0]
+        conditions = [d.tau > 0 and p1g1 <= d.tau, d.tau > 0 and p1g1 > d.tau, d.tau == 0.0]
         assert sum(conditions) == 1
-        assert case_of(params, chan) is (CaseLabel.I, CaseLabel.II, CaseLabel.III)[conditions.index(True)]
+        assert d.case_label is (CaseLabel.I, CaseLabel.II, CaseLabel.III)[conditions.index(True)]
 
     @settings(max_examples=300, deadline=None)
     @given(random_inputs())
@@ -249,9 +247,10 @@ class TestInvariants:
     def test_case_ii_rate_dominance(self, inputs):
         # rs >= nh-sic >= qos-sic pointwise inside case II
         params, chan = inputs
-        if case_of(params, chan) is not CaseLabel.II:
+        d = rs_decide(params, chan)
+        if d.case_label is not CaseLabel.II:
             return
-        rs = rs_decide(params, chan).r1_total
+        rs = d.r1_total
         nh = benchmark_rate_nh_sic(params, chan)
         qos = benchmark_rate_qos_sic(params, chan)
         assert rs >= nh - 1e-12

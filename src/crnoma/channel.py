@@ -19,6 +19,10 @@ from .errors import ParameterError
 _MAX_SEED = 2**64
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not a count
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Seed and substream layout for one reproducible experiment."""
@@ -27,9 +31,9 @@ class SamplerConfig:
     stream_count: int = 16
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
+        if not _is_int(self.seed) or not 0 <= self.seed < _MAX_SEED:
             raise ParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not isinstance(self.stream_count, int) or self.stream_count < 1:
+        if not _is_int(self.stream_count) or self.stream_count < 1:
             raise ParameterError(f"stream_count must be a positive integer, got {self.stream_count!r}")
 
 

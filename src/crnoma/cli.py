@@ -25,12 +25,14 @@ _SCHEME_TOKENS = {s.value: s for s in SchemeId}
 
 def _count(text: str) -> int:
     try:
-        value = int(float(text))
-    except (ValueError, OverflowError):
+        value = float(text)  # accepts 1e6
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a count: {text!r}") from None
+    if not value.is_integer():  # also refuses inf and nan
+        raise argparse.ArgumentTypeError(f"not a whole count: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+    return int(value)
 
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:

@@ -2,10 +2,15 @@
 
 A sweep walks one axis (secondary transmit SNR in dB, or the secondary target
 rate) and evaluates a grid of scheme x metric cells with the analytic
-expressions, the Monte Carlo estimator, or both. The named presets are the
-standard comparison layouts for this system (outage vs SNR under two power
-couplings, conditional outage vs SNR and vs target rate, throughput vs SNR)
+expressions, the Monte Carlo estimator, or both. On the SNR axis the primary
+power follows the secondary one, p0 = ratio * p1. The named presets are the
+standard comparison layouts for this system (outage vs SNR at p0 = p1 and at
+p0 = p1/10, conditional outage vs SNR and vs target rate, throughput vs SNR)
 at desk scale; grids and sample counts are configurable.
+
+A SweepSpec checks every one of its points when it is built, so a bad config
+fails once, before any cell runs; run_sweep records only the failures that
+depend on the numerics or the draws.
 
 Output rows are ordered deterministically (axis-major, then scheme, metric,
 engine in the order requested) and floats are serialized with shortest
@@ -26,11 +31,10 @@ from . import analytic
 from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
 from .estimator import Metric, _needs_rates, _worker_count, estimate_from_tally, simulate_tally
-from .params import SystemParams, db_to_linear
+from .params import SystemParams, db_to_linear, derive_constants
 from .strategy import SchemeId
 
 AXES = ("P1_DB", "TARGET_RATE_R1")
-COUPLINGS = ("EQUAL", "RATIO")
 ENGINES = ("ANALYTIC", "MONTE_CARLO", "BOTH")
 # the `fixed` keys each axis reads in params_at
 _FIXED_KEYS = {"P1_DB": ("r0", "r1"), "TARGET_RATE_R1": ("r0", "p0_db", "p1_db")}
@@ -49,7 +53,6 @@ class SweepSpec:
     schemes: tuple[SchemeId, ...]
     metrics: tuple[Metric, ...]
     engine: str = "BOTH"
-    coupling: str = "EQUAL"
     ratio: float = 1.0
     n_samples: int = 1_000_000
     seed: int = 2024
@@ -58,30 +61,41 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ParameterError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if self.coupling not in COUPLINGS:
-            raise ParameterError(f"coupling must be one of {COUPLINGS}, got {self.coupling!r}")
         if self.engine not in ENGINES:
             raise ParameterError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not isinstance(self.fixed, dict):
             raise ParameterError(f"fixed must be a mapping, got {self.fixed!r}")
+        # a copy, so later edits to the caller's dict cannot undo the checks below
+        object.__setattr__(self, "fixed", dict(self.fixed))
         missing = [k for k in _FIXED_KEYS[self.axis] if k not in self.fixed]
         if missing:
             raise ParameterError(f"fixed is missing {missing} for axis {self.axis}")
+        unread = sorted(set(self.fixed) - set(_FIXED_KEYS[self.axis]))
+        if unread:
+            raise ParameterError(f"fixed has keys {unread} that axis {self.axis} does not read")
         if not self.axis_values or any(b <= a for a, b in zip(self.axis_values, self.axis_values[1:])):
             raise ParameterError("axis_values must be nonempty and strictly increasing")
-        if not isinstance(self.ratio, numbers.Real) or not self.ratio > 0.0:
-            raise ParameterError(f"coupling ratio must be a positive number, got {self.ratio!r}")
+        if (isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real)
+                or not self.ratio > 0.0):
+            raise ParameterError(f"ratio must be a positive number, got {self.ratio!r}")
         if not self.schemes or not self.metrics:
             raise ParameterError("schemes and metrics must be nonempty")
-        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 1:
+        if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral)
+                or self.n_samples < 1):
             raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
         SamplerConfig(seed=self.seed, stream_count=self.stream_count)  # validates both
+        # the only check of the points themselves: run_sweep trusts every one
+        for value in self.axis_values:
+            try:
+                derive_constants(self.params_at(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParameterError(f"axis value {value!r} is not a valid point: {exc}") from None
 
     def params_at(self, axis_value: float) -> SystemParams:
         if self.axis == "P1_DB":
             p1 = db_to_linear(axis_value)
-            p0 = p1 if self.coupling == "EQUAL" else self.ratio * p1
-            return SystemParams(p0=p0, p1=p1, r0_hat=self.fixed["r0"], r1_hat=self.fixed["r1"])
+            return SystemParams(p0=self.ratio * p1, p1=p1,
+                                r0_hat=self.fixed["r0"], r1_hat=self.fixed["r1"])
         p0 = db_to_linear(self.fixed["p0_db"])
         p1 = db_to_linear(self.fixed["p1_db"])
         return SystemParams(p0=p0, p1=p1, r0_hat=self.fixed["r0"], r1_hat=axis_value)
@@ -185,7 +199,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     closed form (CSI-SIC and the ergodic throughput are simulation-only);
     requesting engine ANALYTIC for such a cell records a failure instead.
     A bad worker count (argument or CRNOMA_WORKERS) is not a cell failure:
-    it raises ParameterError before any cell runs.
+    it raises ParameterError before any cell runs. Nor is a bad point: the
+    spec refused it when it was built.
     """
     result = SweepResult(spec=spec)
     want_analytic = spec.engine in ("ANALYTIC", "BOTH")
@@ -201,12 +216,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
                                for scheme, metric in failed)
 
     for axis_value in spec.axis_values:
-        try:
-            params = spec.params_at(axis_value)
-        except Exception as exc:  # a bad cell must not kill the sweep
-            fail(spec.engine, exc, cells)
-            continue
-
+        params = spec.params_at(axis_value)  # valid: the spec checked every point
         if want_analytic:
             for scheme, metric in cells:
                 try:
@@ -313,15 +323,15 @@ _ALL_SECONDARY = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_S
 # r0 = 1, p0 = 15 dB, p1 = 20 dB.
 _PRESET_BUILDERS = {
     "fig1a": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
-                               fixed={"r0": 1.5, "r1": 1.5}, coupling="EQUAL",
+                               fixed={"r0": 1.5, "r1": 1.5},
                                schemes=_ALL_SECONDARY, metrics=(Metric.OUTAGE_TOTAL,)),
     "fig1b": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
-                               fixed={"r0": 1.5, "r1": 1.5}, coupling="RATIO", ratio=0.1,
+                               fixed={"r0": 1.5, "r1": 1.5}, ratio=0.1,
                                schemes=_ALL_SECONDARY, metrics=(Metric.OUTAGE_TOTAL,)),
     # conditional sweep starts at 10 dB: with p0 = p1/10, the case-II event is
     # too rare below that for a desk-scale conditional estimate
     "fig2a": lambda: SweepSpec(axis="P1_DB", axis_values=tuple(float(v) for v in range(10, 41, 2)),
-                               fixed={"r0": 1.5, "r1": 1.5}, coupling="RATIO", ratio=0.1,
+                               fixed={"r0": 1.5, "r1": 1.5}, ratio=0.1,
                                schemes=_ALL_SECONDARY,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
     "fig2b": lambda: SweepSpec(axis="TARGET_RATE_R1", axis_values=_rate_axis(),
@@ -329,7 +339,7 @@ _PRESET_BUILDERS = {
                                schemes=_ALL_SECONDARY,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
     "fig3": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
-                              fixed={"r0": 1.0, "r1": 1.0}, coupling="RATIO", ratio=0.1,
+                              fixed={"r0": 1.0, "r1": 1.0}, ratio=0.1,
                               schemes=_ALL_SECONDARY,
                               metrics=(Metric.THROUGHPUT_DELAY_LIMITED,)),
 }

@@ -18,8 +18,15 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
+def _as_float(name: str, value: float) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+
+
 def _require_positive_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _as_float(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -92,7 +99,7 @@ class ChannelRealization:
 
     def __post_init__(self) -> None:
         for name in ("g0", "g1"):
-            value = float(getattr(self, name))
+            value = _as_float(name, getattr(self, name))
             if not math.isfinite(value) or value < 0.0:
                 raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)

@@ -11,7 +11,6 @@ tens that a wrong formula produces.
 """
 
 import math
-import os
 import re
 import subprocess
 import sys
@@ -23,6 +22,8 @@ from crnoma import Metric, SamplerConfig, SchemeId, SystemParams
 from crnoma.cli import main as cli_main
 from crnoma.selftest import parameter_grid
 from crnoma.strategy import _Rule
+
+from conftest import src_env
 
 ACCEPTANCE_SEED = 20260810
 MC_SAMPLES = 10_000_000
@@ -234,7 +235,7 @@ def test_criterion_7_determinism(tmp_path):
     """figure fig1b --seed 7 twice, different parallelism, byte-identical CSV."""
     outputs = []
     for workers, fname in (("1", "a.csv"), ("3", "b.csv")):
-        env = dict(os.environ, CRNOMA_WORKERS=workers)
+        env = src_env(CRNOMA_WORKERS=workers)
         path = tmp_path / fname
         proc = subprocess.run(
             [sys.executable, "-m", "crnoma.cli", "figure", "fig1b", "--seed", "7",

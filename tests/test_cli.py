@@ -1,15 +1,14 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import crnoma
 from crnoma.cli import main
+
+from conftest import src_env
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +102,7 @@ class TestBoundaryErrors:
         assert code == 2
         assert err.count("\n") == 1 and "CRNOMA_WORKERS" in err
 
-    @pytest.mark.parametrize("samples", ["0", "-3", "abc", "inf"])
+    @pytest.mark.parametrize("samples", ["0", "-3", "abc", "inf", "2000.9"])
     def test_bad_sample_count_rejected_by_parser(self, capsys, samples):
         with pytest.raises(SystemExit) as exc:
             main([*self.SIM, "--samples", samples])
@@ -147,6 +146,16 @@ class TestBoundaryErrors:
         ({"stream_count": 0}, "stream_count"),
         ({"seed": 1.5}, "seed"),
         ({"ratio": "big"}, "ratio"),
+        ({"n_samples": True}, "n_samples"),
+        ({"stream_count": True}, "stream_count"),
+        ({"seed": True}, "seed"),
+        ({"ratio": True}, "ratio"),
+        ({"fixed": {"r0": -1.0, "r1": 1.0}}, "r0_hat must be positive"),
+        ({"fixed": {"r0": "x", "r1": 1.0}}, "r0_hat must be a number"),
+        ({"fixed": {"r0": 1.0, "r1": 1.0, "p0_db": 10.0}}, "['p0_db'] that axis P1_DB does not read"),
+        ({"axis_values": [float("nan")]}, "axis value nan"),
+        ({"axis_values": [10.0, 3100.0]}, "axis value 3100.0"),
+        ({"coupling": "EQUAL"}, "unknown sweep config keys ['coupling']"),
     ])
     def test_bad_sweep_config_is_one_stderr_line(self, capsys, tmp_path, change, needle):
         config = {
@@ -193,7 +202,7 @@ class TestFigureAndSweep:
         config = {
             "axis": "P1_DB", "axis_values": [10.0, 12.0], "fixed": {"r0": 1.0, "r1": 1.0},
             "schemes": ["rs", "nh-sic"], "metrics": ["outage-total"],
-            "engine": "BOTH", "coupling": "EQUAL", "ratio": 1.0,
+            "engine": "BOTH", "ratio": 1.0,
             "n_samples": 5000, "seed": 4, "stream_count": 8,
         }
         cfg = tmp_path / "sweep.json"
@@ -227,10 +236,8 @@ class TestSelftest:
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(crnoma.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "crnoma", "--help"], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "crnoma", "--help"], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: crnoma")
 
@@ -242,11 +249,9 @@ def test_python_dash_m_runs_the_cli():
 ])
 def test_cli_runs_with_scipy_blocked(argv):
     # None in sys.modules makes every scipy import raise ImportError
-    src = str(Path(crnoma.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import runpy, sys; sys.modules['scipy'] = None; "
             f"sys.argv = ['crnoma', *{list(argv)!r}]; "
             "runpy.run_module('crnoma', run_name='__main__', alter_sys=True)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

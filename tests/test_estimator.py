@@ -1,14 +1,11 @@
 import math
-import os
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import crnoma
 from crnoma import (
     GainStream,
     InsufficientConditioningError,
@@ -30,7 +27,7 @@ from crnoma.estimator import PopulationTally, SchemeTally
 from crnoma.strategy import _Rule, evaluate_outcome
 from crnoma.params import ChannelRealization, derive_constants
 
-from conftest import make_params
+from conftest import make_params, src_env
 
 SECONDARY = [SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_SIC]
 
@@ -497,12 +494,10 @@ class TestWorkerCount:
 
 
 def test_import_does_not_load_scipy():
-    src = str(Path(crnoma.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import crnoma, sys; assert 'scipy' not in sys.modules, sorted(sys.modules); "
             "p = crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0); "
             "assert crnoma.case_ii_outage_quadrature(p) > 0.0; "
             "assert 'scipy' not in sys.modules, sorted(sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import pytest
 
 from crnoma import (
     Metric,
+    ParameterError,
     SamplerConfig,
     SchemeId,
     SweepSpec,
@@ -18,6 +19,7 @@ from crnoma import (
     save_spec,
 )
 from crnoma import experiments
+from crnoma.cli import main
 from crnoma.experiments import PRESET_NAMES, SweepResult, parse_csv
 
 
@@ -25,7 +27,7 @@ def small_spec(**overrides) -> SweepSpec:
     base = dict(
         axis="P1_DB", axis_values=(10.0, 14.0), fixed={"r0": 1.0, "r1": 1.0},
         schemes=(SchemeId.RS,), metrics=(Metric.OUTAGE_TOTAL,),
-        engine="BOTH", coupling="EQUAL", n_samples=50_000, seed=33,
+        engine="BOTH", n_samples=50_000, seed=33,
     )
     base.update(overrides)
     return SweepSpec(**base)
@@ -42,10 +44,10 @@ class TestSpecValidation:
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
-            small_spec(coupling="RATIO", ratio=0.0)
+            small_spec(ratio=0.0)
 
     def test_params_coupling(self):
-        spec = small_spec(coupling="RATIO", ratio=0.1)
+        spec = small_spec(ratio=0.1)
         p = spec.params_at(20.0)
         assert p.p1 == pytest.approx(100.0)
         assert p.p0 == pytest.approx(10.0)
@@ -56,6 +58,33 @@ class TestSpecValidation:
         p = spec.params_at(1.5)
         assert p.r1_hat == 1.5
         assert p.p0 == pytest.approx(10**1.5)
+
+    def test_fixed_is_copied(self):
+        fixed = {"r0": 1.0, "r1": 1.0}
+        spec = small_spec(fixed=fixed)
+        fixed["r1"] = -1.0
+        assert spec.fixed == {"r0": 1.0, "r1": 1.0}
+        assert spec.params_at(10.0).r1_hat == 1.0
+
+    def test_bad_axis_value_is_refused_when_built(self, tmp_path, capsys):
+        config = dict(axis="TARGET_RATE_R1", axis_values=(0.0, 1.0),
+                      fixed={"r0": 1.0, "p0_db": 10.0, "p1_db": 10.0},
+                      schemes=(SchemeId.RS, SchemeId.CSI_SIC),
+                      metrics=(Metric.OUTAGE_TOTAL, Metric.ADMISSION))
+        # r1 = 0 is not a valid target rate
+        with pytest.raises(ParameterError, match="axis value 0.0"):
+            small_spec(**config)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({**config, "schemes": ["rs", "csi-sic"],
+                                   "metrics": ["outage-total", "admission"]}))
+        out_path = tmp_path / "out.csv"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("crnoma: error: axis value 0.0 ")
+        assert captured.out == ""
+        assert not out_path.exists()
 
 
 class TestConfigRoundTrip:
@@ -108,16 +137,6 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert {r.scheme for r in result.rows} == {SchemeId.RS}
         assert {f.scheme for f in result.failures} == {SchemeId.CSI_SIC}
-
-    def test_bad_axis_value_fails_each_of_its_cells_once(self):
-        spec = small_spec(axis="TARGET_RATE_R1", axis_values=(0.0, 1.0),
-                          fixed={"r0": 1.0, "p0_db": 10.0, "p1_db": 10.0},
-                          schemes=(SchemeId.RS, SchemeId.CSI_SIC),
-                          metrics=(Metric.OUTAGE_TOTAL, Metric.ADMISSION))
-        result = run_sweep(spec)  # r1 = 0 is not a valid target rate
-        failed = [(f.axis_value, f.scheme, f.metric, f.engine) for f in result.failures]
-        assert failed == [(0.0, s, m, "BOTH") for s in spec.schemes for m in spec.metrics]
-        assert {r.axis_value for r in result.rows} == {1.0}
 
     def test_simulation_failure_fails_each_monte_carlo_cell_once(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -177,6 +196,12 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             figure_preset("fig9")
+
+    def test_fig1a_ties_p0_to_p1_exactly(self):
+        spec = figure_preset("fig1a")
+        for value in spec.axis_values:
+            p = spec.params_at(value)
+            assert p.p0 == p.p1
 
     def test_overrides_apply(self):
         spec = figure_preset("fig1a", n_samples=123, seed=456)

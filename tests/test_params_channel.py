@@ -51,6 +51,22 @@ class TestDerivedConstants:
         with pytest.raises(ParameterError):
             SystemParams(**fields)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("p0", "x"), ("p1", None), ("r0_hat", [1.0]), ("r1_hat", 10**400),
+    ], ids=["str", "none", "list", "huge-int"])
+    def test_non_numeric_field_names_the_field(self, name, bad):
+        fields = dict(p0=1.0, p1=1.0, r0_hat=1.0, r1_hat=1.0)
+        fields[name] = bad
+        with pytest.raises(ParameterError, match=f"^{name} must be a number"):
+            SystemParams(**fields)
+
+    @pytest.mark.parametrize("name, bad", [("g0", "abc"), ("g1", None)])
+    def test_non_numeric_gain_names_the_field(self, name, bad):
+        gains = dict(g0=1.0, g1=1.0)
+        gains[name] = bad
+        with pytest.raises(ParameterError, match=f"^{name} must be a number"):
+            ChannelRealization(**gains)
+
     def test_overflowing_rate_raises(self):
         with pytest.raises(ParameterError):
             derive_constants(SystemParams(p0=1.0, p1=1.0, r0_hat=2000.0, r1_hat=1.0))
@@ -142,10 +158,14 @@ class TestSamplerConfig:
             SamplerConfig(seed=-1)
         with pytest.raises(ParameterError):
             SamplerConfig(seed=2**64)
+        with pytest.raises(ParameterError, match="seed"):
+            SamplerConfig(seed=True)
 
     def test_rejects_bad_stream_count(self):
         with pytest.raises(ParameterError):
             SamplerConfig(seed=1, stream_count=0)
+        with pytest.raises(ParameterError, match="stream_count"):
+            SamplerConfig(seed=1, stream_count=True)
 
 
 class TestGainDistribution:

@@ -16,6 +16,12 @@ order as one sum over the block (see ``_tally_strips``); the strips keep the
 rate path's temporaries small enough to be reused rather than faulted in
 afresh for every block. Counts alone are tallied on whole blocks.
 
+A tally holds only the products of the rule that its metrics read
+(``_tally_products``): the case and outage counts, the achieved-rate sums,
+or both. An ergodic-throughput-only batch or sweep therefore evaluates no
+outage test and counts nothing; the tally records what it holds, and
+``estimate_from_tally`` refuses a metric it cannot answer.
+
 Because the gains depend only on (seed, stream_count, n_samples), a key's
 draw set is a pure function of it: ``_kept_shards`` caches the most recent
 one, read-only. A call that repeats the previous call's key tallies that set,
@@ -97,7 +103,12 @@ class SchemeTally:
 
 @dataclass
 class PopulationTally:
-    """Event counts over a batch of realizations, mergeable across shards."""
+    """Event counts and rate sums over a batch of realizations, mergeable across shards.
+
+    has_counts and has_rates record which products it holds: the case and
+    outage counts, and each scheme's rate sums. A product it does not hold
+    reads as zero, so estimate_from_tally refuses a metric that needs it.
+    """
 
     n: int = 0
     case_i: int = 0
@@ -105,8 +116,14 @@ class PopulationTally:
     case_iii: int = 0
     primary_outage: int = 0
     schemes: dict[SchemeId, SchemeTally] = field(default_factory=dict)
+    has_counts: bool = True
+    has_rates: bool = False
 
     def merge(self, other: "PopulationTally") -> None:
+        """Add other's draws; both must hold the same products."""
+        if (self.has_counts, self.has_rates) != (other.has_counts, other.has_rates):
+            raise ValueError(f"cannot merge a tally of {_products_text(other)} "
+                             f"into one of {_products_text(self)}")
         self.n += other.n
         self.case_i += other.case_i
         self.case_ii += other.case_ii
@@ -116,15 +133,24 @@ class PopulationTally:
             self.schemes.setdefault(scheme, SchemeTally()).merge(tally)
 
 
+def _products_text(tally: PopulationTally) -> str:
+    held = [name for name, has in (("outage counts", tally.has_counts),
+                                   ("rate sums", tally.has_rates)) if has]
+    return " and ".join(held) or "draws alone"
+
+
 def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
                      schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
-                     with_rates: bool = False) -> PopulationTally:
+                     with_rates: bool = False, *, with_counts: bool = True) -> PopulationTally:
     """Count and sum strategy's per-realization rule over gain arrays.
 
     The rule is strategy._Rule evaluated with numpy as its namespace;
     strategy.evaluate_outcome evaluates the same expressions on floats, so
     both paths agree realization by realization. Case masks are computed once
-    per array and shared by every scheme.
+    per array and shared by every scheme. with_counts and with_rates pick the
+    rule's products: the case and outage counts, and the achieved-rate sums.
+    A rates-only tally (with_counts=False) skips every outage test and count
+    and holds only n and the rate sums.
 
     With rates, the rule runs on strips of at most _STRIP draws (see
     _tally_strips), one call per block still. A 62,500-draw block's dozen
@@ -140,12 +166,12 @@ def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     against 1.85-1.87 s).
     """
     if with_rates:
-        return _tally_strips(params, g0, g1, schemes)
-    return _tally(params, g0, g1, schemes, False)
+        return _tally_strips(params, g0, g1, schemes, with_counts)
+    return _tally(params, g0, g1, schemes, with_counts, False)
 
 
 def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
-                  schemes: tuple[SchemeId, ...]) -> PopulationTally:
+                  schemes: tuple[SchemeId, ...], with_counts: bool) -> PopulationTally:
     """Tally with rates, split where numpy's pairwise summation splits.
 
     numpy sums a contiguous float64 array of n > 128 elements as the sum of
@@ -157,23 +183,22 @@ def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     """
     n = g0.size
     if n <= _STRIP:
-        return _tally(params, g0, g1, schemes, True)
+        return _tally(params, g0, g1, schemes, with_counts, True)
     half = n // 2 - n // 2 % 8
-    left = _tally_strips(params, g0[:half], g1[:half], schemes)
-    left.merge(_tally_strips(params, g0[half:], g1[half:], schemes))
+    left = _tally_strips(params, g0[:half], g1[:half], schemes, with_counts)
+    left.merge(_tally_strips(params, g0[half:], g1[half:], schemes, with_counts))
     return left
 
 
 def _tally(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
-           schemes: tuple[SchemeId, ...], with_rates: bool) -> PopulationTally:
-    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_rates, np)
-    tally = PopulationTally(
-        n=int(g0.size),
-        case_i=int(np.count_nonzero(rule.case_i)),
-        case_ii=int(np.count_nonzero(rule.case_ii)),
-        case_iii=int(np.count_nonzero(rule.case_iii)),
-        primary_outage=int(np.count_nonzero(rule.primary_outage)),
-    )
+           schemes: tuple[SchemeId, ...], with_counts: bool, with_rates: bool) -> PopulationTally:
+    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_counts, with_rates, np)
+    tally = PopulationTally(n=int(g0.size), has_counts=with_counts, has_rates=with_rates)
+    if with_counts:
+        tally.case_i = int(np.count_nonzero(rule.case_i))
+        tally.case_ii = int(np.count_nonzero(rule.case_ii))
+        tally.case_iii = int(np.count_nonzero(rule.case_iii))
+        tally.primary_outage = int(np.count_nonzero(rule.primary_outage))
     for scheme in schemes:
         tally.schemes[scheme] = _scheme_tally(rule, rule.scheme(scheme))
     return tally
@@ -184,9 +209,10 @@ def _scheme_tally(rule: _Rule, own: _SchemeRule | None) -> SchemeTally:
     st = SchemeTally()
     if own is None:
         return st
-    st.outage_case_i = int(np.count_nonzero(rule.case_i & own.outage))
-    st.outage_case_iii = int(np.count_nonzero(rule.case_iii & own.outage))
-    st.outage_case_ii = int(np.count_nonzero(own.outage)) - st.outage_case_i - st.outage_case_iii
+    if own.outage is not None:
+        st.outage_case_i = int(np.count_nonzero(rule.case_i & own.outage))
+        st.outage_case_iii = int(np.count_nonzero(rule.case_iii & own.outage))
+        st.outage_case_ii = int(np.count_nonzero(own.outage)) - st.outage_case_i - st.outage_case_iii
     if own.rate is not None:
         st.rate_sum = float(own.rate.sum())
         st.rate_sq_sum = float(np.square(own.rate).sum())
@@ -286,18 +312,22 @@ def _kept_shards(seed: int, stream_count: int, n_samples: int) -> tuple[tuple[_B
     return shards
 
 
-def _run_shard(params: SystemParams, blocks: Iterable[_Block],
-               schemes: tuple[SchemeId, ...], with_rates: bool) -> PopulationTally:
-    total = PopulationTally()
+def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[SchemeId, ...],
+               with_rates: bool, with_counts: bool) -> PopulationTally:
+    total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for g0, g1 in blocks:
-        total.merge(tally_population(params, g0, g1, schemes, with_rates))
+        total.merge(tally_population(params, g0, g1, schemes, with_rates, with_counts=with_counts))
     return total
 
 
 def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
                    schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
-                   with_rates: bool = False, workers: int | None = None) -> PopulationTally:
-    """Tally n_samples realizations across the sampler's substreams."""
+                   with_rates: bool = False, workers: int | None = None, *,
+                   with_counts: bool = True) -> PopulationTally:
+    """Tally n_samples realizations across the sampler's substreams.
+
+    with_counts and with_rates pick the tally's products, as in tally_population.
+    """
     global _last_key
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
@@ -308,35 +338,58 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
         _kept_shards.cache_clear()  # release the old set before drawing the new one
     jobs = _kept_shards(*key) if repeat and n_samples <= _KEEP_MAX_DRAWS else _shard_blocks(*key)
     if nworkers == 1 or len(jobs) == 1:
-        shard_tallies = [_run_shard(params, blocks, schemes, with_rates) for blocks in jobs]
+        shard_tallies = [_run_shard(params, blocks, schemes, with_rates, with_counts)
+                         for blocks in jobs]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_run_shard, params, blocks, schemes, with_rates) for blocks in jobs]
+            futures = [pool.submit(_run_shard, params, blocks, schemes, with_rates, with_counts)
+                       for blocks in jobs]
             shard_tallies = [f.result() for f in futures]  # shard order, not completion order
-    total = PopulationTally()
+    total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for t in shard_tallies:
         total.merge(t)
     return total
 
 
-def _needs_rates(metrics: Iterable[Metric]) -> bool:
-    """Whether any of the metrics is estimated from achieved-rate sums, not from counts alone."""
-    return any(m is Metric.THROUGHPUT_ERGODIC for m in metrics)
+def _tally_products(metrics: Iterable[Metric]) -> tuple[bool, bool]:
+    """(with_counts, with_rates): the products of a tally that the metrics read.
+
+    The ergodic throughput reads the achieved-rate sums; every other metric
+    reads the case and outage counts alone.
+    """
+    with_counts = with_rates = False
+    for m in metrics:
+        if m is Metric.THROUGHPUT_ERGODIC:
+            with_rates = True
+        else:
+            with_counts = True
+    return with_counts, with_rates
 
 
 def estimate_from_tally(scheme: SchemeId, metric: Metric, params: SystemParams,
                         tally: PopulationTally) -> OutageEstimate:
-    """Derive one estimate from an existing tally (no further sampling)."""
+    """Derive one estimate from an existing tally (no further sampling).
+
+    A metric whose product the tally does not hold raises ValueError, and a
+    secondary scheme the tally does not cover raises UnknownSchemeError.
+    """
     n = tally.n
     if scheme is SchemeId.OMA_PRIMARY and metric not in (Metric.PRIMARY_OUTAGE, Metric.ADMISSION):
         raise UnknownSchemeError(f"{scheme} carries no secondary transmission; {metric} undefined")
+    needs_counts, needs_rates = _tally_products([metric])
+    if (needs_counts and not tally.has_counts) or (needs_rates and not tally.has_rates):
+        needed = "outage counts" if needs_counts else "rate sums"
+        raise ValueError(f"{metric.value} reads {needed}, but the tally holds {_products_text(tally)}")
 
     if metric is Metric.PRIMARY_OUTAGE:
         return _bernoulli_estimate(scheme, metric, tally.primary_outage, n)
     if metric is Metric.ADMISSION:
         return _bernoulli_estimate(scheme, metric, tally.case_ii, n)
 
-    st = tally.schemes[scheme]
+    st = tally.schemes.get(scheme)
+    if st is None:
+        covered = ", ".join(s.value for s in tally.schemes) or "no scheme"
+        raise UnknownSchemeError(f"the tally covers {covered}, not {scheme.value}")
     if metric is Metric.OUTAGE_TOTAL:
         return _bernoulli_estimate(scheme, metric, st.outage_total, n)
     if metric is Metric.OUTAGE_CASE_I:
@@ -374,7 +427,9 @@ def estimate_batch(schemes: list[SchemeId], params: SystemParams, metrics: list[
     if not schemes or not metrics:
         raise ValueError("schemes and metrics must be nonempty")
     tally_schemes = tuple(dict.fromkeys(schemes))
-    tally = simulate_tally(params, sampler, n_samples, tally_schemes, _needs_rates(metrics), workers)
+    with_counts, with_rates = _tally_products(metrics)
+    tally = simulate_tally(params, sampler, n_samples, tally_schemes, with_rates, workers,
+                           with_counts=with_counts)
     return [
         estimate_from_tally(scheme, metric, params, tally)
         for scheme in schemes

@@ -30,8 +30,8 @@ from pathlib import Path
 from . import analytic
 from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
-from .estimator import Metric, _needs_rates, _worker_count, estimate_from_tally, simulate_tally
-from .params import SystemParams, db_to_linear, derive_constants
+from .estimator import Metric, _tally_products, _worker_count, estimate_from_tally, simulate_tally
+from .params import SystemParams, _as_float, db_to_linear, derive_constants
 from .strategy import SchemeId
 
 AXES = ("P1_DB", "TARGET_RATE_R1")
@@ -96,8 +96,8 @@ class SweepSpec:
             p1 = db_to_linear(axis_value)
             return SystemParams(p0=self.ratio * p1, p1=p1,
                                 r0_hat=self.fixed["r0"], r1_hat=self.fixed["r1"])
-        p0 = db_to_linear(self.fixed["p0_db"])
-        p1 = db_to_linear(self.fixed["p1_db"])
+        p0 = db_to_linear(_as_float("p0_db", self.fixed["p0_db"]))
+        p1 = db_to_linear(_as_float("p1_db", self.fixed["p1_db"]))
         return SystemParams(p0=p0, p1=p1, r0_hat=self.fixed["r0"], r1_hat=axis_value)
 
     def to_dict(self) -> dict:
@@ -118,7 +118,7 @@ class SweepSpec:
             raise ParameterError(f"sweep config is missing keys {missing}")
         d = dict(d)
         try:
-            d["axis_values"] = tuple(float(v) for v in d["axis_values"])
+            d["axis_values"] = tuple(_as_float("axis_values", v) for v in d["axis_values"])
             d["schemes"] = tuple(SchemeId(s) for s in d["schemes"])
             d["metrics"] = tuple(Metric(m) for m in d["metrics"])
         except (TypeError, ValueError) as exc:
@@ -210,6 +210,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         workers = _worker_count(workers)
 
     cells = [(scheme, metric) for scheme in spec.schemes for metric in spec.metrics]
+    with_counts, with_rates = _tally_products(spec.metrics)
 
     def fail(engine: str, exc: Exception, failed: list[tuple[SchemeId, Metric]]) -> None:
         result.failures.extend(CellFailure(axis_value, scheme, metric, engine, str(exc))
@@ -231,7 +232,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         if want_mc:
             try:
                 tally = simulate_tally(params, sampler, spec.n_samples, tuple(spec.schemes),
-                                       with_rates=_needs_rates(spec.metrics), workers=workers)
+                                       with_rates=with_rates, workers=workers,
+                                       with_counts=with_counts)
             except Exception as exc:
                 fail("MONTE_CARLO", exc, cells)
                 continue

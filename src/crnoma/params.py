@@ -19,6 +19,9 @@ def db_to_linear(value_db: float) -> float:
 
 
 def _as_float(name: str, value: float) -> float:
+    """value as a float; a non-number, or a bool such as JSON true, raises ParameterError."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):

@@ -27,6 +27,10 @@ and ``|`` plus three primitives (``where``, ``maximum``, ``log2``) that the
 caller supplies. The scalar functions below pass floats with a namespace of
 Python builtins; ``estimator.tally_population`` passes gain arrays with numpy.
 Both therefore evaluate the same expressions realization by realization.
+The rule has two products, the outage tests and the achieved rates, and a
+caller builds only those it reads: ``evaluate_outcome`` and ``rs_decide``
+build both (OMA_PRIMARY only the outages), the baseline rate functions only
+the rates, and a tally whichever its metrics need.
 """
 
 from __future__ import annotations
@@ -88,41 +92,45 @@ _SCALAR = SimpleNamespace(where=lambda cond, a, b: a if cond else b, maximum=max
 
 
 class _SchemeRule(NamedTuple):
-    outage: Any
+    outage: Any        # secondary outage test; None without outages
     rate: Any          # achieved rate; None without rates
-    case_ii_rate: Any  # rate of the scheme's case-II rule, silence ignored; None for CSI-SIC
+    case_ii_rate: Any  # the scheme's case-II rate, silence ignored; None without rates or for CSI-SIC
 
 
 class _Rule:
     """The per-realization rule, for floats (ns = _SCALAR) or gain arrays (ns = numpy).
 
-    p0g0 = p0*g0 and p1g1 = p1*g1. Construction evaluates what every scheme
-    shares: the budget tau, the case masks, primary outage and the two decode
-    orders' tests and rates. scheme() applies one scheme's rule on top, so an
-    array caller can consume one scheme's arrays before the next are built.
-    Complementary comparisons stand in for ~, which on a Python bool is
-    integer negation.
+    p0g0 = p0*g0 and p1g1 = p1*g1. The rule has two products, outage tests
+    and achieved rates, and construction builds only those asked for: the
+    budget tau and the case-I/II masks, which both read, then primary outage
+    and the two decode orders' tests with outages, and their rates with
+    rates. scheme() applies one scheme's rule on top, so an array caller can
+    consume one scheme's arrays before the next are built; a product not
+    built is None there. Complementary comparisons stand in for ~, which on a
+    Python bool is integer negation.
     """
 
-    __slots__ = ("c", "p0g0", "p1g1", "ns", "with_rates", "tau", "case_i", "case_ii", "case_iii",
-                 "primary_outage", "first_fail", "last_fail", "shared_fail", "first_rate",
-                 "last_rate", "x11_rate", "x12_rate", "shared_rate")
+    __slots__ = ("c", "p0g0", "p1g1", "ns", "outages", "rates", "tau", "case_i", "case_ii",
+                 "noise_x0", "case_iii", "primary_outage", "first_fail", "last_fail", "shared_fail",
+                 "first_rate", "last_rate", "x11_rate", "x12_rate", "shared_rate")
 
-    def __init__(self, c: DerivedConstants, p0g0: Any, p1g1: Any, with_rates: bool, ns: Any) -> None:
-        self.c, self.p0g0, self.p1g1, self.ns, self.with_rates = c, p0g0, p1g1, ns, with_rates
+    def __init__(self, c: DerivedConstants, p0g0: Any, p1g1: Any, outages: bool, rates: bool,
+                 ns: Any) -> None:
+        self.c, self.p0g0, self.p1g1, self.ns = c, p0g0, p1g1, ns
+        self.outages, self.rates = outages, rates
         admitted = p0g0 > c.eps0  # tau > 0
         self.tau = tau = ns.maximum(p0g0 / c.eps0 - 1.0, 0.0)
         self.case_i = admitted & (p1g1 <= tau)
         self.case_ii = admitted & (p1g1 > tau)
-        self.case_iii = p0g0 <= c.eps0
-        self.primary_outage = p0g0 < c.eps0
-
-        noise_x0 = p0g0 + 1.0
-        self.first_fail = p1g1 < c.eps1 * noise_x0  # U1 decoded before x0, x0 as noise
-        self.last_fail = p1g1 < c.eps1              # U1 decoded after x0, interference-free
-        # cases I and III: the same operation for every admission-based scheme
-        self.shared_fail = (self.case_i & self.last_fail) | (self.case_iii & self.first_fail)
-        if with_rates:
+        self.noise_x0 = noise_x0 = p0g0 + 1.0
+        if outages:
+            self.case_iii = p0g0 <= c.eps0
+            self.primary_outage = p0g0 < c.eps0
+            self.first_fail = p1g1 < c.eps1 * noise_x0  # U1 decoded before x0, x0 as noise
+            self.last_fail = p1g1 < c.eps1              # U1 decoded after x0, interference-free
+            # cases I and III: the same operation for every admission-based scheme
+            self.shared_fail = (self.case_i & self.last_fail) | (self.case_iii & self.first_fail)
+        if rates:
             self.first_rate = ns.log2(1.0 + p1g1 / noise_x0)
             self.last_rate = ns.log2(1.0 + p1g1)
             # RS case II: x11 decoded before x0, x12 after it at SINR tau
@@ -132,38 +140,48 @@ class _Rule:
 
     def scheme(self, scheme: SchemeId) -> _SchemeRule | None:
         """One scheme's secondary outage and rates; None for OMA_PRIMARY, unknown schemes raise."""
-        c, p0g0, p1g1, ns, rates = self.c, self.p0g0, self.p1g1, self.ns, self.with_rates
+        c, p0g0, p1g1, ns, outages, rates = (self.c, self.p0g0, self.p1g1, self.ns,
+                                             self.outages, self.rates)
         if scheme is SchemeId.OMA_PRIMARY:
             return None
         if scheme is SchemeId.CSI_SIC:
             # dynamic ordering by received power, no admission rule
             u1_first = p1g1 >= p0g0
             x0_need = c.eps0 * (p1g1 + 1.0)
-            outage = (u1_first & self.first_fail) | ((p1g1 < p0g0) & ((p0g0 < x0_need) | self.last_fail))
+            outage = ((u1_first & self.first_fail) | ((p1g1 < p0g0) & ((p0g0 < x0_need) | self.last_fail))
+                      if outages else None)
             # U1 decoded second earns nothing unless x0 was decoded first
             rate = (ns.where(u1_first, self.first_rate, self.last_rate * (p0g0 >= x0_need))
                     if rates else None)
             return _SchemeRule(outage, rate, None)
+        fail_ii = rate_ii = achieved_ii = None
         if scheme is SchemeId.RS:
-            need = (1.0 + c.eps0) * (1.0 + c.eps1) - (p0g0 + 1.0)
-            fail_ii = p1g1 < need
+            need = (1.0 + c.eps0) * (1.0 + c.eps1) - self.noise_x0
+            if outages:
+                fail_ii = p1g1 < need
             if rates:
                 rate_ii = self.x11_rate + self.x12_rate
                 achieved_ii = rate_ii * (p1g1 >= need)  # silent blocks earn nothing
         elif scheme is SchemeId.QOS_SIC:
-            fail_ii = self.first_fail
+            if outages:
+                fail_ii = self.first_fail
             if rates:
-                rate_ii = achieved_ii = self.first_rate
+                # achieved_ii stays None: shared_rate is first_rate wherever case I does not
+                # hold, so where(case_ii, first_rate, shared_rate) is shared_rate itself
+                rate_ii = self.first_rate
         elif scheme is SchemeId.NH_SIC:
-            fail_ii = self.first_fail & (self.tau < c.eps1)
+            if outages:
+                fail_ii = self.first_fail & (self.tau < c.eps1)
             if rates:
                 rate_ii = achieved_ii = ns.maximum(self.first_rate, self.x12_rate)
         else:
             raise UnknownSchemeError(f"unknown scheme {scheme!r}")
-        outage = self.shared_fail | (self.case_ii & fail_ii)
+        outage = self.shared_fail | (self.case_ii & fail_ii) if outages else None
         if not rates:
             return _SchemeRule(outage, None, None)
-        return _SchemeRule(outage, ns.where(self.case_ii, achieved_ii, self.shared_rate), rate_ii)
+        rate = (self.shared_rate if achieved_ii is None
+                else ns.where(self.case_ii, achieved_ii, self.shared_rate))
+        return _SchemeRule(outage, rate, rate_ii)
 
     def case_label(self) -> CaseLabel:
         """Case of a single realization (floats only)."""
@@ -172,9 +190,9 @@ class _Rule:
         return CaseLabel.I if self.case_i else CaseLabel.III
 
 
-def _scalar_rule(params: SystemParams, chan: ChannelRealization, with_rates: bool) -> _Rule:
+def _scalar_rule(params: SystemParams, chan: ChannelRealization, outages: bool, rates: bool) -> _Rule:
     return _Rule(derive_constants(params), params.p0 * chan.g0, params.p1 * chan.g1,
-                 with_rates, _SCALAR)
+                 outages, rates, _SCALAR)
 
 
 def received_sinrs(params: SystemParams, chan: ChannelRealization, alpha: float) -> tuple[float, float, float]:
@@ -201,7 +219,7 @@ def rs_decide(params: SystemParams, chan: ChannelRealization) -> RsDecision:
     primary SINR is exactly eps0; the case-II rates use that identity
     instead of round-tripping through alpha.
     """
-    rule = _scalar_rule(params, chan, True)
+    rule = _scalar_rule(params, chan, True, True)
     case = rule.case_label()
     rs = rule.scheme(SchemeId.RS)
     if case is CaseLabel.II:
@@ -215,12 +233,12 @@ def rs_decide(params: SystemParams, chan: ChannelRealization) -> RsDecision:
 
 def benchmark_rate_qos_sic(params: SystemParams, chan: ChannelRealization) -> float:
     """Case-II rate of the QoS-ordered baseline: U1 decoded first, U0's signal as noise."""
-    return _scalar_rule(params, chan, True).scheme(SchemeId.QOS_SIC).case_ii_rate
+    return _scalar_rule(params, chan, False, True).scheme(SchemeId.QOS_SIC).case_ii_rate
 
 
 def benchmark_rate_nh_sic(params: SystemParams, chan: ChannelRealization) -> float:
     """Case-II rate of the hybrid baseline: better of decode-first and power-backoff."""
-    return _scalar_rule(params, chan, True).scheme(SchemeId.NH_SIC).case_ii_rate
+    return _scalar_rule(params, chan, False, True).scheme(SchemeId.NH_SIC).case_ii_rate
 
 
 def evaluate_outcome(scheme: SchemeId, params: SystemParams, chan: ChannelRealization) -> TransmissionOutcome:
@@ -230,7 +248,7 @@ def evaluate_outcome(scheme: SchemeId, params: SystemParams, chan: ChannelRealiz
     scheme; that is the admission contract the secondary schemes preserve.
     """
     # OMA_PRIMARY reads only primary_outage, so its rule skips the rates
-    rule = _scalar_rule(params, chan, scheme is not SchemeId.OMA_PRIMARY)
+    rule = _scalar_rule(params, chan, True, scheme is not SchemeId.OMA_PRIMARY)
     own = rule.scheme(scheme)
     if own is None:
         return TransmissionOutcome(scheme=scheme, primary_outage=rule.primary_outage)

@@ -195,7 +195,7 @@ def test_criterion_6_property_suites():
     p0g0, p1g1 = params.p0 * g0, params.p1 * g1
 
     # the program's own rule, as tally_population evaluates it
-    rule = _Rule(c, p0g0, p1g1, True, np)
+    rule = _Rule(c, p0g0, p1g1, True, True, np)
     tau, case_i, case_ii, case_iii = rule.tau, rule.case_i, rule.case_ii, rule.case_iii
     partition_ok = (int(case_i.sum()) + int(case_ii.sum()) + int(case_iii.sum()) == PAIRED_DRAWS
                     and not np.any(case_i & case_ii) and not np.any(case_i & case_iii)

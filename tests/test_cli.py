@@ -156,6 +156,10 @@ class TestBoundaryErrors:
         ({"axis_values": [float("nan")]}, "axis value nan"),
         ({"axis_values": [10.0, 3100.0]}, "axis value 3100.0"),
         ({"coupling": "EQUAL"}, "unknown sweep config keys ['coupling']"),
+        ({"fixed": {"r0": True, "r1": 1.0}}, "r0_hat must be a number, got True"),
+        ({"axis_values": [True]}, "axis_values must be a number, got True"),
+        ({"axis": "TARGET_RATE_R1", "fixed": {"r0": 1.0, "p0_db": True, "p1_db": 20.0}},
+         "p0_db must be a number, got True"),
     ])
     def test_bad_sweep_config_is_one_stderr_line(self, capsys, tmp_path, change, needle):
         config = {

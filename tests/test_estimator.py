@@ -224,10 +224,11 @@ class TestVectorizedAgainstScalar:
 
 def _unsplit_tally(params, g0, g1, schemes, with_rates=True):
     """tally_population built by hand: the rule once over the whole arrays, rates summed by np.sum."""
-    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_rates, np)
+    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, True, with_rates, np)
     count = np.count_nonzero
     tally = PopulationTally(n=g0.size, case_i=count(rule.case_i), case_ii=count(rule.case_ii),
-                            case_iii=count(rule.case_iii), primary_outage=count(rule.primary_outage))
+                            case_iii=count(rule.case_iii), primary_outage=count(rule.primary_outage),
+                            has_rates=with_rates)
     for scheme in schemes:
         own = rule.scheme(scheme)
         tally.schemes[scheme] = SchemeTally(
@@ -236,6 +237,11 @@ def _unsplit_tally(params, g0, g1, schemes, with_rates=True):
             float(np.sum(own.rate)) if with_rates else 0.0,
             float(np.sum(np.square(own.rate))) if with_rates else 0.0)
     return tally
+
+
+def _rate_sums(tally):
+    """What a rates-only tally holds: n and each scheme's rate sums."""
+    return tally.n, {s: (st.rate_sum, st.rate_sq_sum) for s, st in tally.schemes.items()}
 
 
 def _strip_tree_sum(x):
@@ -268,6 +274,20 @@ class TestStrips:
         assert tally == expected  # exact: every count, rate_sum and rate_sq_sum
         assert all(tally.schemes[s].rate_sum > 0.0 for s in SECONDARY)
 
+    @pytest.mark.parametrize("n", STRIP_BLOCKS)
+    @pytest.mark.parametrize("point", [(10.0, 10.0, 1.0, 1.0), (12.0, 17.0, 1.0, 1.5),
+                                       (0.0, 20.0, 2.0, 0.5)])
+    def test_rates_only_sums_equal_combined(self, gains, n, point):
+        params = make_params(*point)
+        g0, g1 = gains[0][:n], gains[1][:n]
+        rates_only = tally_population(params, g0, g1, tuple(SECONDARY), with_rates=True,
+                                      with_counts=False)
+        combined = tally_population(params, g0, g1, tuple(SECONDARY), with_rates=True)
+        assert _rate_sums(rates_only) == _rate_sums(combined)  # exact
+        assert (rates_only.has_counts, rates_only.has_rates) == (False, True)
+        assert rates_only.case_ii == rates_only.primary_outage == 0
+        assert all(st.outage_total == 0 for st in rates_only.schemes.values())
+
     def test_counts_without_rates_are_unsplit(self, gains):
         params = make_params(12.0, 17.0, 1.0, 1.5)
         g0, g1 = gains[0][:100_003], gains[1][:100_003]
@@ -290,13 +310,13 @@ class TestStrips:
 
 def _reference_tally(params, seed, stream_count, n, schemes, with_rates, tally=tally_population):
     """The path without the kept draw set: draw every block by hand, merge in shard order."""
-    total = PopulationTally()
+    total = PopulationTally(has_rates=with_rates)
     base, rem = divmod(n, stream_count)
     for i in range(stream_count):
         size = base + (1 if i < rem else 0)
         if size == 0:
             continue
-        stream, shard, done = GainStream(seed, i), PopulationTally(), 0
+        stream, shard, done = GainStream(seed, i), PopulationTally(has_rates=with_rates), 0
         while done < size:
             m = min(estimator._BLOCK, size - done)
             shard.merge(tally(params, *stream.gains(m), schemes, with_rates))
@@ -467,6 +487,57 @@ class TestBlocksAboveStrip:
             assert got == expected
             assert estimator._kept_shards.cache_info().currsize == kept
             assert sizes == [40_000] * 3  # one tally_population call per block, not per strip
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rates_only_sums_equal_combined(self, workers, empty_kept_set):
+        params = make_params(12.0, 17.0, 1.0, 1.5)
+        schemes = tuple(SECONDARY)
+        expected = _rate_sums(_reference_tally(params, *self.KEY, schemes, True))
+        seed, stream_count, n = self.KEY
+        for kept in (0, 1, 1):  # streamed, then kept, then tallied from the kept set
+            got = simulate_tally(params, SamplerConfig(seed=seed, stream_count=stream_count), n,
+                                 schemes, with_rates=True, workers=workers, with_counts=False)
+            assert _rate_sums(got) == expected
+            assert (got.has_counts, got.has_rates) == (False, True)
+            assert estimator._kept_shards.cache_info().currsize == kept
+
+
+class TestTallyProducts:
+    """A tally holds the products its metrics read, and refuses to answer for any other."""
+
+    def test_counts_only_tally_refuses_ergodic(self, params_10db):
+        tally = simulate_tally(params_10db, SamplerConfig(seed=49), 5_000, (SchemeId.RS,))
+        with pytest.raises(ValueError, match="^throughput-ergodic reads rate sums, but the tally "
+                                             "holds outage counts$"):
+            estimator.estimate_from_tally(SchemeId.RS, Metric.THROUGHPUT_ERGODIC, params_10db, tally)
+
+    @pytest.mark.parametrize("scheme, metric", [(SchemeId.RS, Metric.OUTAGE_TOTAL),
+                                                (SchemeId.RS, Metric.THROUGHPUT_DELAY_LIMITED),
+                                                (SchemeId.OMA_PRIMARY, Metric.PRIMARY_OUTAGE)])
+    def test_rates_only_tally_refuses_count_metrics(self, params_10db, scheme, metric):
+        tally = simulate_tally(params_10db, SamplerConfig(seed=49), 5_000, (SchemeId.RS,),
+                               with_rates=True, with_counts=False)
+        with pytest.raises(ValueError, match=f"^{metric.value} reads outage counts, but the tally "
+                                             f"holds rate sums$"):
+            estimator.estimate_from_tally(scheme, metric, params_10db, tally)
+
+    @pytest.mark.parametrize("metric", [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC])
+    def test_uncovered_scheme_is_named(self, params_10db, metric):
+        tally = simulate_tally(params_10db, SamplerConfig(seed=49), 5_000,
+                               (SchemeId.RS, SchemeId.QOS_SIC), with_rates=True)
+        with pytest.raises(UnknownSchemeError, match="^the tally covers rs, qos-sic, not nh-sic$"):
+            estimator.estimate_from_tally(SchemeId.NH_SIC, metric, params_10db, tally)
+
+    def test_tallies_of_different_products_do_not_merge(self):
+        with pytest.raises(ValueError, match="^cannot merge a tally of rate sums into one of "
+                                             "outage counts and rate sums$"):
+            PopulationTally(has_rates=True).merge(PopulationTally(has_counts=False, has_rates=True))
+
+    def test_mixed_batch_equals_each_metric_alone(self, params_10db, empty_kept_set):
+        sampler, metrics = SamplerConfig(seed=50), [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC]
+        mixed = estimate_batch(SECONDARY, params_10db, metrics, 20_000, sampler)
+        alone = [estimate(s, params_10db, m, 20_000, sampler) for s in SECONDARY for m in metrics]
+        assert mixed == alone
 
 
 class TestWorkerCount:

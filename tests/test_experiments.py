@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ from crnoma import (
     run_sweep,
     save_spec,
 )
-from crnoma import experiments
+from crnoma import estimator, experiments
 from crnoma.cli import main
 from crnoma.experiments import PRESET_NAMES, SweepResult, parse_csv
 
@@ -151,6 +155,30 @@ class TestRunSweep:
                           for v in spec.axis_values for s in spec.schemes for m in spec.metrics]
         assert {r.engine for r in result.rows} == {"ANALYTIC"}
 
+    @pytest.mark.parametrize("metrics, products", [
+        ((Metric.THROUGHPUT_ERGODIC,), (False, True)),
+        ((Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC), (True, True)),
+        ((Metric.OUTAGE_TOTAL, Metric.ADMISSION), (True, False)),
+    ], ids=["ergodic-only", "mixed", "counts-only"])
+    def test_tally_holds_only_what_the_metrics_read(self, monkeypatch, metrics, products):
+        requested = []
+        tally = estimator.tally_population
+        signature = inspect.signature(tally)
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            requested.append((bound.arguments["with_counts"], bound.arguments["with_rates"]))
+            return tally(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "tally_population", spy)
+        spec = small_spec(schemes=(SchemeId.RS, SchemeId.CSI_SIC), metrics=metrics,
+                          engine="MONTE_CARLO")
+        result = run_sweep(spec)
+        assert not result.failures
+        assert len(result.rows) == 2 * 2 * len(metrics)
+        assert requested and set(requested) == {products}
+
 
 class TestEmit:
     def test_csv_round_trip_exact(self, tmp_path):
@@ -232,3 +260,16 @@ class TestPresets:
         result = run_sweep(spec)
         params = spec.params_at(10.0)
         assert result.rows[0].value == admission_probability(params)
+
+
+# the CSV digests the benchmark's figure-sweeps check compares against, read here only
+CSV_RECORD = Path(__file__).resolve().parents[1] / "bench" / "csv_sha256.json"
+
+
+def test_figure_csv_bytes_match_the_record():
+    """All five presets plus an ergodic sweep on the fig3 axis, at seed 0, keep their bytes."""
+    specs = {name: figure_preset(name, seed=0) for name in PRESET_NAMES}
+    specs["fig3-ergodic"] = dataclasses.replace(specs["fig3"], metrics=(Metric.THROUGHPUT_ERGODIC,))
+    digests = {name: hashlib.sha256(render(run_sweep(spec), "csv").encode()).hexdigest()
+               for name, spec in specs.items()}
+    assert digests == json.loads(CSV_RECORD.read_text())["0"]

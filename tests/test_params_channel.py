@@ -52,8 +52,8 @@ class TestDerivedConstants:
             SystemParams(**fields)
 
     @pytest.mark.parametrize("name, bad", [
-        ("p0", "x"), ("p1", None), ("r0_hat", [1.0]), ("r1_hat", 10**400),
-    ], ids=["str", "none", "list", "huge-int"])
+        ("p0", "x"), ("p1", None), ("r0_hat", [1.0]), ("r1_hat", 10**400), ("p0", True),
+    ], ids=["str", "none", "list", "huge-int", "bool"])
     def test_non_numeric_field_names_the_field(self, name, bad):
         fields = dict(p0=1.0, p1=1.0, r0_hat=1.0, r1_hat=1.0)
         fields[name] = bad

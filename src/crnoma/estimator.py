@@ -14,7 +14,10 @@ rule runs on strips of at most ``_STRIP`` draws, cut where numpy's pairwise
 summation cuts the block, so each rate sum is the same additions in the same
 order as one sum over the block (see ``_tally_strips``); the strips keep the
 rate path's temporaries small enough to be reused rather than faulted in
-afresh for every block. Counts alone are tallied on whole blocks.
+afresh for every block. Counts alone are tallied on whole blocks, and each
+test is counted once: the case-I and case-III outage tests that RS, NH-SIC
+and QoS-SIC share are counted once for all three. Shards run on one thread
+pool per process, kept from call to call (see ``_executor``).
 
 A tally holds only the products of the rule that its metrics read
 (``_tally_products``): the case and outage counts, the achieved-rate sums,
@@ -45,6 +48,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -120,10 +124,16 @@ class PopulationTally:
     has_rates: bool = False
 
     def merge(self, other: "PopulationTally") -> None:
-        """Add other's draws; both must hold the same products."""
+        """Add other's draws; both must hold the same products and cover the same schemes.
+
+        An empty accumulator (no draws, no schemes) takes other's schemes.
+        """
         if (self.has_counts, self.has_rates) != (other.has_counts, other.has_rates):
             raise ValueError(f"cannot merge a tally of {_products_text(other)} "
                              f"into one of {_products_text(self)}")
+        if self.schemes.keys() != other.schemes.keys() and (self.n or self.schemes):
+            raise ValueError(f"cannot merge a tally covering {_schemes_text(other)} "
+                             f"into one covering {_schemes_text(self)}")
         self.n += other.n
         self.case_i += other.case_i
         self.case_ii += other.case_ii
@@ -139,6 +149,10 @@ def _products_text(tally: PopulationTally) -> str:
     return " and ".join(held) or "draws alone"
 
 
+def _schemes_text(tally: PopulationTally) -> str:
+    return ", ".join(s.value for s in tally.schemes) or "no scheme"
+
+
 def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
                      schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
                      with_rates: bool = False, *, with_counts: bool = True) -> PopulationTally:
@@ -146,24 +160,26 @@ def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
 
     The rule is strategy._Rule evaluated with numpy as its namespace;
     strategy.evaluate_outcome evaluates the same expressions on floats, so
-    both paths agree realization by realization. Case masks are computed once
-    per array and shared by every scheme. with_counts and with_rates pick the
-    rule's products: the case and outage counts, and the achieved-rate sums.
-    A rates-only tally (with_counts=False) skips every outage test and count
-    and holds only n and the rate sums.
+    both paths agree realization by realization. with_counts and with_rates
+    pick the rule's products: the case and outage counts, and the
+    achieved-rate sums. A rates-only tally (with_counts=False) skips every
+    outage test and count and holds only n and the rate sums.
+
+    Every count is a Python int, and each is taken once per array: case II
+    and case III by subtraction from the admission and case-I counts, the
+    case-I and case-III outages of RS, NH-SIC and QoS-SIC from the rule's
+    shared tests, so each of those schemes adds only its case-II count.
 
     With rates, the rule runs on strips of at most _STRIP draws (see
-    _tally_strips), one call per block still. A 62,500-draw block's dozen
-    float64 temporaries of 500 KB each were returned to the kernel after
-    every call and faulted in again, ~1,450 minor faults per block; strips
-    of 128 KB temporaries are reused instead, which took the tally from 67
-    to 39 ns per draw on one thread (2 vCPUs, numpy 2.4). The rate sums are
-    still exactly ``rate.sum()`` over the whole arrays, provided numpy sums
-    pairwise as tests/test_estimator.py pins. Counts alone stay on whole
-    arrays: strips quadruple their numpy calls, each one a handoff of the
-    GIL between the two worker threads, and made the benchmark's figure
-    sweeps slower (median cell 6.6 against 9.7-10.1 ms, pass 1.30-1.38
-    against 1.85-1.87 s).
+    _tally_strips), one call per block still: the temporaries of a
+    62,500-draw block (500 KB each) were returned to the kernel after every
+    call and faulted in again, while those of a strip are reused. The rate
+    sums are still exactly ``rate.sum()`` over the whole arrays, provided
+    numpy sums pairwise as tests/test_estimator.py pins. Counts alone stay
+    on whole arrays: strips quadruple their numpy calls, each one a handoff
+    of the GIL between the worker threads. Four schemes' counts over 10^6
+    draws in 62,500-draw blocks on two threads took 8.6-10.0 ms on whole
+    blocks against 20-22 ms on strips (2 vCPUs, numpy 2.4).
     """
     if with_rates:
         return _tally_strips(params, g0, g1, schemes, with_counts)
@@ -193,26 +209,39 @@ def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
 def _tally(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
            schemes: tuple[SchemeId, ...], with_counts: bool, with_rates: bool) -> PopulationTally:
     rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_counts, with_rates, np)
-    tally = PopulationTally(n=int(g0.size), has_counts=with_counts, has_rates=with_rates)
+    n = int(g0.size)
+    tally = PopulationTally(n=n, has_counts=with_counts, has_rates=with_rates)
+    shared = None
     if with_counts:
-        tally.case_i = int(np.count_nonzero(rule.case_i))
-        tally.case_ii = int(np.count_nonzero(rule.case_ii))
-        tally.case_iii = int(np.count_nonzero(rule.case_iii))
-        tally.primary_outage = int(np.count_nonzero(rule.primary_outage))
+        admitted = _count(rule.admitted)
+        tally.case_i = _count(rule.case_i)
+        tally.case_ii = admitted - tally.case_i
+        tally.case_iii = n - admitted
+        tally.primary_outage = _count(rule.primary_outage)
+        # the case-I and case-III outage tests that every admission scheme shares, counted once
+        shared = (_count(rule.fail_i), _count(rule.fail_iii))
     for scheme in schemes:
-        tally.schemes[scheme] = _scheme_tally(rule, rule.scheme(scheme))
+        tally.schemes[scheme] = _scheme_tally(rule, rule.scheme(scheme), shared)
     return tally
 
 
-def _scheme_tally(rule: _Rule, own: _SchemeRule | None) -> SchemeTally:
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
+
+
+def _scheme_tally(rule: _Rule, own: _SchemeRule | None,
+                  shared: tuple[int, int] | None) -> SchemeTally:
     """Counts and sums of one scheme; its arrays are freed before the next scheme's are built."""
     st = SchemeTally()
     if own is None:
         return st
-    if own.outage is not None:
-        st.outage_case_i = int(np.count_nonzero(rule.case_i & own.outage))
-        st.outage_case_iii = int(np.count_nonzero(rule.case_iii & own.outage))
-        st.outage_case_ii = int(np.count_nonzero(own.outage)) - st.outage_case_i - st.outage_case_iii
+    if own.shared_fail is not None:
+        st.outage_case_i, st.outage_case_iii = shared
+        st.outage_case_ii = _count(own.own_fail)
+    elif own.own_fail is not None:  # CSI-SIC: one test over every case
+        st.outage_case_i = _count(rule.case_i & own.own_fail)
+        st.outage_case_iii = _count(rule.case_iii & own.own_fail)
+        st.outage_case_ii = _count(own.own_fail) - st.outage_case_i - st.outage_case_iii
     if own.rate is not None:
         st.rate_sum = float(own.rate.sum())
         st.rate_sq_sum = float(np.square(own.rate).sum())
@@ -341,14 +370,46 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
         shard_tallies = [_run_shard(params, blocks, schemes, with_rates, with_counts)
                          for blocks in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        with _pool_lock:  # a pool is never shut down between getting it and submitting to it
+            pool = _executor(nworkers)
             futures = [pool.submit(_run_shard, params, blocks, schemes, with_rates, with_counts)
                        for blocks in jobs]
-            shard_tallies = [f.result() for f in futures]  # shard order, not completion order
+        shard_tallies = [f.result() for f in futures]  # shard order, not completion order
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for t in shard_tallies:
         total.merge(t)
     return total
+
+
+# the shard pool and its worker count; see _executor
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor(nworkers: int) -> ThreadPoolExecutor:
+    """The process's shard pool of nworkers threads, kept from one call to the next.
+
+    Starting and joining two threads for every call cost ~0.3 ms (2 vCPUs),
+    a thirtieth of a 10^6-draw counts cell. A call with another worker count
+    shuts the kept pool down (its submitted shards still finish) and keeps a
+    new one. Call under _pool_lock.
+    """
+    global _pool
+    if _pool is None or _pool[0] != nworkers:
+        if _pool is not None:
+            _pool[1].shutdown(wait=False)
+        _pool = (nworkers, ThreadPoolExecutor(max_workers=nworkers))
+    return _pool[1]
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads, and any holder of the lock, are not there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _tally_products(metrics: Iterable[Metric]) -> tuple[bool, bool]:
@@ -388,8 +449,7 @@ def estimate_from_tally(scheme: SchemeId, metric: Metric, params: SystemParams,
 
     st = tally.schemes.get(scheme)
     if st is None:
-        covered = ", ".join(s.value for s in tally.schemes) or "no scheme"
-        raise UnknownSchemeError(f"the tally covers {covered}, not {scheme.value}")
+        raise UnknownSchemeError(f"the tally covers {_schemes_text(tally)}, not {scheme.value}")
     if metric is Metric.OUTAGE_TOTAL:
         return _bernoulli_estimate(scheme, metric, st.outage_total, n)
     if metric is Metric.OUTAGE_CASE_I:

@@ -3,8 +3,9 @@
 A sweep walks one axis (secondary transmit SNR in dB, or the secondary target
 rate) and evaluates a grid of scheme x metric cells with the analytic
 expressions, the Monte Carlo estimator, or both. On the SNR axis the primary
-power follows the secondary one, p0 = ratio * p1. The named presets are the
-standard comparison layouts for this system (outage vs SNR at p0 = p1 and at
+power follows the secondary one, p0 = ratio * p1, where ratio is a key of
+fixed that only this axis reads. The named presets are the standard
+comparison layouts for this system (outage vs SNR at p0 = p1 and at
 p0 = p1/10, conditional outage vs SNR and vs target rate, throughput vs SNR)
 at desk scale; grids and sample counts are configurable.
 
@@ -31,13 +32,13 @@ from . import analytic
 from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
 from .estimator import Metric, _tally_products, _worker_count, estimate_from_tally, simulate_tally
-from .params import SystemParams, _as_float, db_to_linear, derive_constants
+from .params import SystemParams, _as_float, _require_positive_finite, db_to_linear, derive_constants
 from .strategy import SchemeId
 
 AXES = ("P1_DB", "TARGET_RATE_R1")
 ENGINES = ("ANALYTIC", "MONTE_CARLO", "BOTH")
 # the `fixed` keys each axis reads in params_at
-_FIXED_KEYS = {"P1_DB": ("r0", "r1"), "TARGET_RATE_R1": ("r0", "p0_db", "p1_db")}
+_FIXED_KEYS = {"P1_DB": ("r0", "r1", "ratio"), "TARGET_RATE_R1": ("r0", "p0_db", "p1_db")}
 
 # schemes with closed forms; CSI-SIC is simulation-only
 _ANALYTIC_SCHEMES = frozenset({SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC})
@@ -53,7 +54,6 @@ class SweepSpec:
     schemes: tuple[SchemeId, ...]
     metrics: tuple[Metric, ...]
     engine: str = "BOTH"
-    ratio: float = 1.0
     n_samples: int = 1_000_000
     seed: int = 2024
     stream_count: int = 16
@@ -75,9 +75,6 @@ class SweepSpec:
             raise ParameterError(f"fixed has keys {unread} that axis {self.axis} does not read")
         if not self.axis_values or any(b <= a for a, b in zip(self.axis_values, self.axis_values[1:])):
             raise ParameterError("axis_values must be nonempty and strictly increasing")
-        if (isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real)
-                or not self.ratio > 0.0):
-            raise ParameterError(f"ratio must be a positive number, got {self.ratio!r}")
         if not self.schemes or not self.metrics:
             raise ParameterError("schemes and metrics must be nonempty")
         if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral)
@@ -94,7 +91,8 @@ class SweepSpec:
     def params_at(self, axis_value: float) -> SystemParams:
         if self.axis == "P1_DB":
             p1 = db_to_linear(axis_value)
-            return SystemParams(p0=self.ratio * p1, p1=p1,
+            ratio = _require_positive_finite("ratio", self.fixed["ratio"])
+            return SystemParams(p0=ratio * p1, p1=p1,
                                 r0_hat=self.fixed["r0"], r1_hat=self.fixed["r1"])
         p0 = db_to_linear(_as_float("p0_db", self.fixed["p0_db"]))
         p1 = db_to_linear(_as_float("p1_db", self.fixed["p1_db"]))
@@ -325,15 +323,15 @@ _ALL_SECONDARY = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_S
 # r0 = 1, p0 = 15 dB, p1 = 20 dB.
 _PRESET_BUILDERS = {
     "fig1a": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
-                               fixed={"r0": 1.5, "r1": 1.5},
+                               fixed={"r0": 1.5, "r1": 1.5, "ratio": 1.0},
                                schemes=_ALL_SECONDARY, metrics=(Metric.OUTAGE_TOTAL,)),
     "fig1b": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
-                               fixed={"r0": 1.5, "r1": 1.5}, ratio=0.1,
+                               fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
                                schemes=_ALL_SECONDARY, metrics=(Metric.OUTAGE_TOTAL,)),
     # conditional sweep starts at 10 dB: with p0 = p1/10, the case-II event is
     # too rare below that for a desk-scale conditional estimate
     "fig2a": lambda: SweepSpec(axis="P1_DB", axis_values=tuple(float(v) for v in range(10, 41, 2)),
-                               fixed={"r0": 1.5, "r1": 1.5}, ratio=0.1,
+                               fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
                                schemes=_ALL_SECONDARY,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
     "fig2b": lambda: SweepSpec(axis="TARGET_RATE_R1", axis_values=_rate_axis(),
@@ -341,7 +339,7 @@ _PRESET_BUILDERS = {
                                schemes=_ALL_SECONDARY,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
     "fig3": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
-                              fixed={"r0": 1.0, "r1": 1.0}, ratio=0.1,
+                              fixed={"r0": 1.0, "r1": 1.0, "ratio": 0.1},
                               schemes=_ALL_SECONDARY,
                               metrics=(Metric.THROUGHPUT_DELAY_LIMITED,)),
 }

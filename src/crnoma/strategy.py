@@ -22,9 +22,9 @@ case II; CSI-SIC ignores the admission budget and orders SIC by received
 power. Outage tests compare SINRs against eps thresholds in the linear
 domain, which is the same condition as rate < target without the log2 noise.
 
-The rule is written once, in ``_Rule``, from comparisons, arithmetic, ``&``
-and ``|`` plus three primitives (``where``, ``maximum``, ``log2``) that the
-caller supplies. The scalar functions below pass floats with a namespace of
+The rule is written once, in ``_Rule``, from comparisons, arithmetic, ``&``,
+``|`` and ``^`` plus three primitives (``where``, ``maximum``, ``log2``) that
+the caller supplies. The scalar functions below pass floats with a namespace of
 Python builtins; ``estimator.tally_population`` passes gain arrays with numpy.
 Both therefore evaluate the same expressions realization by realization.
 The rule has two products, the outage tests and the achieved rates, and a
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
-from typing import Any, NamedTuple
+from typing import Any
 
 from .params import ChannelRealization, DerivedConstants, SystemParams, derive_constants
 from .errors import UnknownSchemeError
@@ -91,46 +91,67 @@ class TransmissionOutcome:
 _SCALAR = SimpleNamespace(where=lambda cond, a, b: a if cond else b, maximum=max, log2=math.log2)
 
 
-class _SchemeRule(NamedTuple):
-    outage: Any        # secondary outage test; None without outages
+@dataclass(slots=True)
+class _SchemeRule:
+    shared_fail: Any   # (case-I, case-III) outage tests every admission scheme shares; None for CSI-SIC
+    own_fail: Any      # the scheme's own outage test: in case II for an admission scheme, in every
+                       # case for CSI-SIC; None without outages
     rate: Any          # achieved rate; None without rates
     case_ii_rate: Any  # the scheme's case-II rate, silence ignored; None without rates or for CSI-SIC
+
+    @property
+    def outage(self) -> Any:
+        """Secondary outage test over every case; None without outages."""
+        if self.shared_fail is None:
+            return self.own_fail
+        fail_i, fail_iii = self.shared_fail
+        return fail_i | self.own_fail | fail_iii
 
 
 class _Rule:
     """The per-realization rule, for floats (ns = _SCALAR) or gain arrays (ns = numpy).
 
     p0g0 = p0*g0 and p1g1 = p1*g1. The rule has two products, outage tests
-    and achieved rates, and construction builds only those asked for: the
-    budget tau and the case-I/II masks, which both read, then primary outage
-    and the two decode orders' tests with outages, and their rates with
-    rates. scheme() applies one scheme's rule on top, so an array caller can
-    consume one scheme's arrays before the next are built; a product not
-    built is None there. Complementary comparisons stand in for ~, which on a
+    and achieved rates, and construction builds only those asked for. Both
+    read the admission and case-I/II masks. The outage tests add primary
+    outage, the two decode orders' tests, and the case-I and case-III tests
+    that RS, NH-SIC and QoS-SIC share; the rates add the rates. scheme()
+    applies one scheme's rule on top, so an array caller can consume one
+    scheme's arrays before the next are built; a product not built is None
+    there. An admission scheme adds only its case-II test, so a tally counts
+    the shared tests once for all three.
+
+    The masks compare against the unclamped budget p0g0/eps0 - 1; the budget
+    tau = max(0, that) is built only with rates. Both give the same masks:
+    p0g0 > eps0 implies fl(p0g0/eps0) >= 1, so the budget is already >= 0
+    wherever a block is admitted. Complements are taken with ^, since ~ on a
     Python bool is integer negation.
     """
 
-    __slots__ = ("c", "p0g0", "p1g1", "ns", "outages", "rates", "tau", "case_i", "case_ii",
-                 "noise_x0", "case_iii", "primary_outage", "first_fail", "last_fail", "shared_fail",
-                 "first_rate", "last_rate", "x11_rate", "x12_rate", "shared_rate")
+    __slots__ = ("c", "p0g0", "p1g1", "ns", "outages", "rates", "budget", "admitted", "case_i",
+                 "case_ii", "noise_x0", "case_iii", "primary_outage", "first_fail", "last_fail",
+                 "fail_i", "fail_iii", "tau", "first_rate", "last_rate", "x11_rate", "x12_rate",
+                 "shared_rate")
 
     def __init__(self, c: DerivedConstants, p0g0: Any, p1g1: Any, outages: bool, rates: bool,
                  ns: Any) -> None:
         self.c, self.p0g0, self.p1g1, self.ns = c, p0g0, p1g1, ns
         self.outages, self.rates = outages, rates
-        admitted = p0g0 > c.eps0  # tau > 0
-        self.tau = tau = ns.maximum(p0g0 / c.eps0 - 1.0, 0.0)
-        self.case_i = admitted & (p1g1 <= tau)
-        self.case_ii = admitted & (p1g1 > tau)
+        self.admitted = admitted = p0g0 > c.eps0  # tau > 0
+        self.budget = budget = p0g0 / c.eps0 - 1.0
+        self.case_i = admitted & (p1g1 <= budget)
+        self.case_ii = admitted ^ self.case_i
         self.noise_x0 = noise_x0 = p0g0 + 1.0
         if outages:
-            self.case_iii = p0g0 <= c.eps0
+            self.case_iii = admitted ^ True
             self.primary_outage = p0g0 < c.eps0
             self.first_fail = p1g1 < c.eps1 * noise_x0  # U1 decoded before x0, x0 as noise
             self.last_fail = p1g1 < c.eps1              # U1 decoded after x0, interference-free
-            # cases I and III: the same operation for every admission-based scheme
-            self.shared_fail = (self.case_i & self.last_fail) | (self.case_iii & self.first_fail)
+            # cases I and III: the same test for every admission-based scheme
+            self.fail_i = self.case_i & self.last_fail
+            self.fail_iii = self.case_iii & self.first_fail
         if rates:
+            self.tau = tau = ns.maximum(budget, 0.0)
             self.first_rate = ns.log2(1.0 + p1g1 / noise_x0)
             self.last_rate = ns.log2(1.0 + p1g1)
             # RS case II: x11 decoded before x0, x12 after it at SINR tau
@@ -153,7 +174,7 @@ class _Rule:
             # U1 decoded second earns nothing unless x0 was decoded first
             rate = (ns.where(u1_first, self.first_rate, self.last_rate * (p0g0 >= x0_need))
                     if rates else None)
-            return _SchemeRule(outage, rate, None)
+            return _SchemeRule(None, outage, rate, None)
         fail_ii = rate_ii = achieved_ii = None
         if scheme is SchemeId.RS:
             need = (1.0 + c.eps0) * (1.0 + c.eps1) - self.noise_x0
@@ -171,17 +192,21 @@ class _Rule:
                 rate_ii = self.first_rate
         elif scheme is SchemeId.NH_SIC:
             if outages:
-                fail_ii = self.first_fail & (self.tau < c.eps1)
+                # the budget is tau in case II
+                fail_ii = self.first_fail & (self.budget < c.eps1)
             if rates:
                 rate_ii = achieved_ii = ns.maximum(self.first_rate, self.x12_rate)
         else:
             raise UnknownSchemeError(f"unknown scheme {scheme!r}")
-        outage = self.shared_fail | (self.case_ii & fail_ii) if outages else None
+        if outages:
+            shared, own = (self.fail_i, self.fail_iii), self.case_ii & fail_ii
+        else:
+            shared = own = None
         if not rates:
-            return _SchemeRule(outage, None, None)
+            return _SchemeRule(shared, own, None, None)
         rate = (self.shared_rate if achieved_ii is None
                 else ns.where(self.case_ii, achieved_ii, self.shared_rate))
-        return _SchemeRule(outage, rate, rate_ii)
+        return _SchemeRule(shared, own, rate, rate_ii)
 
     def case_label(self) -> CaseLabel:
         """Case of a single realization (floats only)."""

@@ -145,25 +145,30 @@ class TestBoundaryErrors:
         ({"n_samples": 1000.5}, "n_samples"),
         ({"stream_count": 0}, "stream_count"),
         ({"seed": 1.5}, "seed"),
-        ({"ratio": "big"}, "ratio"),
+        ({"fixed": {"r0": 1.0, "r1": 1.0, "ratio": "big"}}, "ratio"),
         ({"n_samples": True}, "n_samples"),
         ({"stream_count": True}, "stream_count"),
         ({"seed": True}, "seed"),
-        ({"ratio": True}, "ratio"),
-        ({"fixed": {"r0": -1.0, "r1": 1.0}}, "r0_hat must be positive"),
-        ({"fixed": {"r0": "x", "r1": 1.0}}, "r0_hat must be a number"),
-        ({"fixed": {"r0": 1.0, "r1": 1.0, "p0_db": 10.0}}, "['p0_db'] that axis P1_DB does not read"),
+        ({"fixed": {"r0": 1.0, "r1": 1.0, "ratio": True}}, "ratio"),
+        ({"fixed": {"r0": -1.0, "r1": 1.0, "ratio": 1.0}}, "r0_hat must be positive"),
+        ({"fixed": {"r0": "x", "r1": 1.0, "ratio": 1.0}}, "r0_hat must be a number"),
+        ({"fixed": {"r0": 1.0, "r1": 1.0, "ratio": 1.0, "p0_db": 10.0}},
+         "['p0_db'] that axis P1_DB does not read"),
         ({"axis_values": [float("nan")]}, "axis value nan"),
         ({"axis_values": [10.0, 3100.0]}, "axis value 3100.0"),
         ({"coupling": "EQUAL"}, "unknown sweep config keys ['coupling']"),
-        ({"fixed": {"r0": True, "r1": 1.0}}, "r0_hat must be a number, got True"),
+        ({"fixed": {"r0": True, "r1": 1.0, "ratio": 1.0}}, "r0_hat must be a number, got True"),
         ({"axis_values": [True]}, "axis_values must be a number, got True"),
         ({"axis": "TARGET_RATE_R1", "fixed": {"r0": 1.0, "p0_db": True, "p1_db": 20.0}},
          "p0_db must be a number, got True"),
+        ({"ratio": 1.0}, "unknown sweep config keys ['ratio']"),
+        ({"axis": "TARGET_RATE_R1", "fixed": {"r0": 1.0, "p0_db": 10.0, "p1_db": 10.0, "ratio": 0.25}},
+         "fixed has keys ['ratio'] that axis TARGET_RATE_R1 does not read"),
+        ({"fixed": {"r0": 1.0, "r1": 1.0}}, "fixed is missing ['ratio'] for axis P1_DB"),
     ])
     def test_bad_sweep_config_is_one_stderr_line(self, capsys, tmp_path, change, needle):
         config = {
-            "axis": "P1_DB", "axis_values": [10.0], "fixed": {"r0": 1.0, "r1": 1.0},
+            "axis": "P1_DB", "axis_values": [10.0], "fixed": {"r0": 1.0, "r1": 1.0, "ratio": 1.0},
             "schemes": ["rs"], "metrics": ["outage-total"], "n_samples": 1000,
         }
         cfg = tmp_path / "sweep.json"
@@ -204,9 +209,9 @@ class TestFigureAndSweep:
 
     def test_sweep_from_config(self, capsys, tmp_path):
         config = {
-            "axis": "P1_DB", "axis_values": [10.0, 12.0], "fixed": {"r0": 1.0, "r1": 1.0},
+            "axis": "P1_DB", "axis_values": [10.0, 12.0], "fixed": {"r0": 1.0, "r1": 1.0, "ratio": 1.0},
             "schemes": ["rs", "nh-sic"], "metrics": ["outage-total"],
-            "engine": "BOTH", "ratio": 1.0,
+            "engine": "BOTH",
             "n_samples": 5000, "seed": 4, "stream_count": 8,
         }
         cfg = tmp_path / "sweep.json"
@@ -221,7 +226,7 @@ class TestFigureAndSweep:
 
     def test_sweep_exit_code_on_failed_cells(self, capsys, tmp_path):
         config = {
-            "axis": "P1_DB", "axis_values": [10.0], "fixed": {"r0": 1.0, "r1": 1.0},
+            "axis": "P1_DB", "axis_values": [10.0], "fixed": {"r0": 1.0, "r1": 1.0, "ratio": 1.0},
             "schemes": ["csi-sic"], "metrics": ["outage-total"], "engine": "ANALYTIC",
         }
         cfg = tmp_path / "bad.json"

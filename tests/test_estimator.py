@@ -1,7 +1,10 @@
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +223,75 @@ class TestVectorizedAgainstScalar:
                                (SchemeId.RS,))
         assert tally.n == 12_345
         assert tally.case_i + tally.case_ii + tally.case_iii == 12_345
+
+
+# Products p*g of these gains land exactly on every threshold of the points below.
+EDGE_GAINS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
+
+
+def _counts(tally):
+    """Every integer a tally holds, by name."""
+    counts = {name: getattr(tally, name) for name in ("n", "case_i", "case_ii", "case_iii",
+                                                      "primary_outage")}
+    for s, st in tally.schemes.items():
+        for case in ("i", "ii", "iii"):
+            counts[s, case] = getattr(st, f"outage_case_{case}")
+    return counts
+
+
+class TestBoundaries:
+    """Ties on every boundary of the rule: the tally and the scalar path take the same side."""
+
+    # (p0, p1, r0, r1), linear powers. eps = 2^r - 1 is 1 or 3, so the ties are exact:
+    # p0g0 == eps0, p1g1 == p0g0/eps0 - 1 (the budget), p1g1 == p0g0, RS's p1g1 == need,
+    # p1g1 == eps1 (p0g0 + 1), p0g0 == eps0 (p1g1 + 1), and g0 = 0 or g1 = 0; every point
+    # but the last has eps0*eps1 >= 1.
+    POINTS = [(1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 1.0, 2.0), (3.0, 1.0, 2.0, 1.0),
+              (1.0, 4.0, 1.0, 0.5)]
+
+    @pytest.mark.parametrize("with_rates", [False, True])
+    @pytest.mark.parametrize("point", POINTS)
+    def test_tally_equals_scalar_counts(self, point, with_rates):
+        params = SystemParams(*point)
+        g0, g1 = (a.ravel() for a in np.meshgrid(EDGE_GAINS, EDGE_GAINS))
+        schemes = tuple(SchemeId)
+        tally = tally_population(params, g0, g1, schemes, with_rates)
+        expected = PopulationTally(n=g0.size)
+        for s in schemes:
+            expected.schemes[s] = SchemeTally()
+        for x0, x1 in zip(g0.tolist(), g1.tolist()):
+            chan = ChannelRealization(g0=x0, g1=x1)
+            rs = evaluate_outcome(SchemeId.RS, params, chan)
+            expected.primary_outage += rs.primary_outage
+            case = rs.case_label.value.lower()
+            setattr(expected, f"case_{case}", getattr(expected, f"case_{case}") + 1)
+            for s in SECONDARY:
+                if evaluate_outcome(s, params, chan).secondary_outage:
+                    st = expected.schemes[s]
+                    setattr(st, f"outage_case_{case}", getattr(st, f"outage_case_{case}") + 1)
+        assert _counts(tally) == _counts(expected)
+        # np.int64 counts would print as np.float64(...) in every CSV value derived from them
+        assert all(type(v) is int for v in _counts(tally).values())
+
+    def test_points_hit_every_boundary(self):
+        # the grid above is only worth its name if the ties really occur
+        ties = dict.fromkeys(["admission", "budget", "u1 first", "rs need", "first fail",
+                              "x0 need", "g0 = 0", "g1 = 0"], False)
+        for p0, p1, r0, r1 in self.POINTS[:3]:
+            eps0, eps1 = 2.0 ** r0 - 1.0, 2.0 ** r1 - 1.0
+            assert eps0 * eps1 >= 1.0
+            for x0 in EDGE_GAINS:
+                for x1 in EDGE_GAINS:
+                    a, b = p0 * x0, p1 * x1
+                    ties["admission"] |= a == eps0
+                    ties["budget"] |= a > eps0 and b == a / eps0 - 1.0
+                    ties["u1 first"] |= a == b
+                    ties["rs need"] |= a > eps0 and b == (1.0 + eps0) * (1.0 + eps1) - (a + 1.0)
+                    ties["first fail"] |= b == eps1 * (a + 1.0)
+                    ties["x0 need"] |= a == eps0 * (b + 1.0)
+                    ties["g0 = 0"] |= x0 == 0.0
+                    ties["g1 = 0"] |= x1 == 0.0
+        assert all(ties.values()), ties
 
 
 def _unsplit_tally(params, g0, g1, schemes, with_rates=True):
@@ -533,11 +605,124 @@ class TestTallyProducts:
                                              "outage counts and rate sums$"):
             PopulationTally(has_rates=True).merge(PopulationTally(has_counts=False, has_rates=True))
 
+    def test_tallies_of_different_schemes_do_not_merge(self, params_10db):
+        # merged anyway, NH-SIC would keep one half's outages over both halves' draws: 0.0501
+        g0, g1 = GainStream(1, 0).gains(10_000)
+        both, rs_only = (SchemeId.RS, SchemeId.NH_SIC), (SchemeId.RS,)
+        whole = tally_population(params_10db, g0, g1, both)
+        nh = estimator.estimate_from_tally(SchemeId.NH_SIC, Metric.OUTAGE_TOTAL, params_10db, whole)
+        assert nh.mean == 0.1058
+        left = tally_population(params_10db, g0[:5_000], g1[:5_000], both)
+        with pytest.raises(ValueError, match="^cannot merge a tally covering rs into one covering "
+                                             "rs, nh-sic$"):
+            left.merge(tally_population(params_10db, g0[5_000:], g1[5_000:], rs_only))
+        assert left.n == 5_000  # refused before anything was added
+        left.merge(tally_population(params_10db, g0[5_000:], g1[5_000:], both))
+        assert left == whole
+
+    def test_empty_accumulator_takes_any_schemes(self, params_10db):
+        g0, g1 = GainStream(1, 0).gains(1_000)
+        part = tally_population(params_10db, g0, g1, (SchemeId.QOS_SIC,))
+        total = PopulationTally()
+        total.merge(part)
+        assert total == part
+        with pytest.raises(ValueError, match="^cannot merge a tally covering no scheme into one "
+                                             "covering qos-sic$"):
+            total.merge(PopulationTally())
+
     def test_mixed_batch_equals_each_metric_alone(self, params_10db, empty_kept_set):
         sampler, metrics = SamplerConfig(seed=50), [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC]
         mixed = estimate_batch(SECONDARY, params_10db, metrics, 20_000, sampler)
         alone = [estimate(s, params_10db, m, 20_000, sampler) for s in SECONDARY for m in metrics]
         assert mixed == alone
+
+
+class TestShardPool:
+    """simulate_tally keeps one pool of worker threads per process, for the last worker count."""
+
+    @pytest.fixture
+    def shard_threads(self, monkeypatch):
+        """The thread that tallied each block, in call order."""
+        seen, tally = [], estimator.tally_population
+
+        def spy(*args, **kwargs):
+            seen.append(threading.current_thread())
+            return tally(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "tally_population", spy)
+        return seen
+
+    @staticmethod
+    def run(workers):
+        return simulate_tally(make_params(10.0, 10.0, 1.0, 1.0), SamplerConfig(seed=51, stream_count=8),
+                              8_000, (SchemeId.RS, SchemeId.CSI_SIC), workers=workers)
+
+    def test_calls_reuse_the_pool_threads(self, shard_threads):
+        self.run(2)
+        first = set(shard_threads)
+        shard_threads.clear()
+        self.run(2)
+        assert threading.current_thread() not in first
+        assert all(t.is_alive() for t in first)  # kept between calls, not joined after each
+        assert len(first | set(shard_threads)) <= 2
+
+    def test_new_worker_count_shuts_the_old_pool_down(self, shard_threads):
+        self.run(2)
+        old = set(shard_threads)
+        shard_threads.clear()
+        self.run(3)
+        assert not old & set(shard_threads)
+        for t in old:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in old)
+
+    def test_one_worker_leaves_the_pool_alone(self, shard_threads):
+        expected = self.run(2)
+        pool = set(shard_threads)
+        shard_threads.clear()
+        assert self.run(1) == expected
+        assert set(shard_threads) == {threading.current_thread()}
+        assert all(t.is_alive() for t in pool)
+
+    def test_threads_switching_worker_counts_get_their_results(self):
+        # each call may shut down the pool that the other thread's shards are queued on
+        expected = self.run(1)
+        got = {2: [], 3: []}
+
+        def run(workers):
+            got[workers].extend(self.run(workers) for _ in range(20))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(w,)) for w in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {2: [expected] * 20, 3: [expected] * 20}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_a_pool_of_its_own(self):
+        expected = self.run(2)  # the parent holds a pool now; its threads do not exist in a child
+        pid = os.fork()
+        if pid == 0:
+            try:
+                ok = self.run(2) == expected
+            except BaseException:
+                ok = False
+            os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("simulate_tally hung in a forked child")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestWorkerCount:

@@ -29,7 +29,7 @@ from crnoma.experiments import PRESET_NAMES, SweepResult, parse_csv
 
 def small_spec(**overrides) -> SweepSpec:
     base = dict(
-        axis="P1_DB", axis_values=(10.0, 14.0), fixed={"r0": 1.0, "r1": 1.0},
+        axis="P1_DB", axis_values=(10.0, 14.0), fixed={"r0": 1.0, "r1": 1.0, "ratio": 1.0},
         schemes=(SchemeId.RS,), metrics=(Metric.OUTAGE_TOTAL,),
         engine="BOTH", n_samples=50_000, seed=33,
     )
@@ -47,11 +47,11 @@ class TestSpecValidation:
             small_spec(axis="SNR")
 
     def test_rejects_bad_ratio(self):
-        with pytest.raises(ValueError):
-            small_spec(ratio=0.0)
+        with pytest.raises(ValueError, match="ratio must be positive"):
+            small_spec(fixed={"r0": 1.0, "r1": 1.0, "ratio": 0.0})
 
     def test_params_coupling(self):
-        spec = small_spec(ratio=0.1)
+        spec = small_spec(fixed={"r0": 1.0, "r1": 1.0, "ratio": 0.1})
         p = spec.params_at(20.0)
         assert p.p1 == pytest.approx(100.0)
         assert p.p0 == pytest.approx(10.0)
@@ -64,10 +64,10 @@ class TestSpecValidation:
         assert p.p0 == pytest.approx(10**1.5)
 
     def test_fixed_is_copied(self):
-        fixed = {"r0": 1.0, "r1": 1.0}
+        fixed = {"r0": 1.0, "r1": 1.0, "ratio": 1.0}
         spec = small_spec(fixed=fixed)
         fixed["r1"] = -1.0
-        assert spec.fixed == {"r0": 1.0, "r1": 1.0}
+        assert spec.fixed == {"r0": 1.0, "r1": 1.0, "ratio": 1.0}
         assert spec.params_at(10.0).r1_hat == 1.0
 
     def test_bad_axis_value_is_refused_when_built(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Command-line surface: per-realization rates, outage evaluation, sweeps, presets.
 
 Powers enter in dB here and are converted once; everything below the CLI is
-linear. Parallelism degree can be pinned with the CRNOMA_WORKERS environment
-variable; it never changes numerical results, only wall time.
+linear. The number of Monte Carlo worker processes can be pinned with the
+CRNOMA_WORKERS environment variable; it never changes numerical results, only
+wall time and how the memory is spread over the processes.
 """
 
 from __future__ import annotations

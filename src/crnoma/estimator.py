@@ -9,15 +9,21 @@ degrees. Within a shard, realizations are drawn in fixed-size blocks; the
 block size is a module constant, not a tuning knob, so it cannot perturb
 results either. Each block is tallied by the one per-realization rule in
 strategy (``_Rule``), evaluated on gain arrays with numpy as its namespace;
-``evaluate_outcome`` evaluates the same rule on floats. With rates, a block's
-rule runs on strips of at most ``_STRIP`` draws, cut where numpy's pairwise
-summation cuts the block, so each rate sum is the same additions in the same
-order as one sum over the block (see ``_tally_strips``); the strips keep the
-rate path's temporaries small enough to be reused rather than faulted in
-afresh for every block. Counts alone are tallied on whole blocks, and each
-test is counted once: the case-I and case-III outage tests that RS, NH-SIC
-and QoS-SIC share are counted once for all three. Shards run on one thread
-pool per process, kept from call to call (see ``_executor``).
+``evaluate_outcome`` evaluates the same rule on floats. The rule runs on
+strips of at most ``_STRIP`` draws, cut where numpy's pairwise summation cuts
+the block, so each rate sum is the same additions in the same order as one
+sum over the block (see ``_tally_strips``); the strips keep the rule's
+temporaries small enough to be reused rather than faulted in afresh for
+every block. Each test is counted once: the case-I and case-III outage
+tests that RS, NH-SIC and QoS-SIC share are counted once for all three.
+
+With more than one worker, shards run in forked shard-owner processes, kept
+from call to call (see ``_owner_pool``): owner k of W tallies shards k,
+k + W, ..., drawing them itself, and sends one tally per shard back over a
+pipe; the caller merges them in shard order. Threads had to retake the GIL
+between every two numpy calls, so two of them ran little faster than one;
+two processes share nothing. With one worker, the calling process runs the
+same owner code (``_own_tallies``) itself.
 
 A tally holds only the products of the rule that its metrics read
 (``_tally_products``): the case and outage counts, the achieved-rate sums,
@@ -26,15 +32,13 @@ outage test and counts nothing; the tally records what it holds, and
 ``estimate_from_tally`` refuses a metric it cannot answer.
 
 Because the gains depend only on (seed, stream_count, n_samples), a key's
-draw set is a pure function of it: ``_kept_shards`` caches the most recent
-one, read-only. A call that repeats the previous call's key tallies that set,
-so a sweep draws twice for all its axis values (the keeping call draws its
-shards serially, once); a call with a new key empties the cache before it
-draws, and a one-off call holds only the blocks in flight. Sets above a fixed
-cap of draws (16 bytes each) are drawn block by block on every call. No lock
-is needed: whatever set a call tallies is the deterministic draw for its key,
-tallied in the same block and merge order as a fresh draw, so every count
-and rate sum is bit-identical either way.
+draw set is a pure function of it: each owner (or the calling process, with
+one worker) keeps its own shards of the last key it drew, read-only, when
+the key has at most ``_KEEP_MAX_DRAWS`` draws, so a sweep draws once for all
+its axis values. A new key releases the kept shards before drawing; larger
+sets are drawn block by block on every call. Whatever shards a call
+tallies are the deterministic draw for its key, tallied in the same block
+and merge order, so every count and rate sum is bit-identical either way.
 
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
@@ -44,13 +48,12 @@ with no statistical noise on the differences.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
+import signal
 import threading
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -170,25 +173,21 @@ def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     case-I and case-III outages of RS, NH-SIC and QoS-SIC from the rule's
     shared tests, so each of those schemes adds only its case-II count.
 
-    With rates, the rule runs on strips of at most _STRIP draws (see
-    _tally_strips), one call per block still: the temporaries of a
-    62,500-draw block (500 KB each) were returned to the kernel after every
-    call and faulted in again, while those of a strip are reused. The rate
-    sums are still exactly ``rate.sum()`` over the whole arrays, provided
-    numpy sums pairwise as tests/test_estimator.py pins. Counts alone stay
-    on whole arrays: strips quadruple their numpy calls, each one a handoff
-    of the GIL between the worker threads. Four schemes' counts over 10^6
-    draws in 62,500-draw blocks on two threads took 8.6-10.0 ms on whole
-    blocks against 20-22 ms on strips (2 vCPUs, numpy 2.4).
+    The rule runs on strips of at most _STRIP draws (see _tally_strips), one
+    call per block still: the temporaries of a 62,500-draw block (500 KB
+    each) were returned to the kernel after every call and faulted in
+    again, ~430 minor faults per counts-only block and ~1,460 with rates,
+    while those of a strip are reused (0 faults). Every count and rate sum
+    equals one evaluation over the whole arrays, provided numpy sums
+    pairwise as tests/test_estimator.py pins.
     """
-    if with_rates:
-        return _tally_strips(params, g0, g1, schemes, with_counts)
-    return _tally(params, g0, g1, schemes, with_counts, False)
+    return _tally_strips(params, g0, g1, schemes, with_counts, with_rates)
 
 
 def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
-                  schemes: tuple[SchemeId, ...], with_counts: bool) -> PopulationTally:
-    """Tally with rates, split where numpy's pairwise summation splits.
+                  schemes: tuple[SchemeId, ...], with_counts: bool,
+                  with_rates: bool) -> PopulationTally:
+    """Tally on strips of at most _STRIP draws, split where numpy's pairwise summation splits.
 
     numpy sums a contiguous float64 array of n > 128 elements as the sum of
     its first n//2 - n//2 % 8 elements plus the sum of the rest, recursively
@@ -199,10 +198,10 @@ def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     """
     n = g0.size
     if n <= _STRIP:
-        return _tally(params, g0, g1, schemes, with_counts, True)
+        return _tally(params, g0, g1, schemes, with_counts, with_rates)
     half = n // 2 - n // 2 % 8
-    left = _tally_strips(params, g0[:half], g1[:half], schemes, with_counts)
-    left.merge(_tally_strips(params, g0[half:], g1[half:], schemes, with_counts))
+    left = _tally_strips(params, g0[:half], g1[:half], schemes, with_counts, with_rates)
+    left.merge(_tally_strips(params, g0[half:], g1[half:], schemes, with_counts, with_rates))
     return left
 
 
@@ -311,9 +310,13 @@ def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
 
 
 _Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
+# what a shard owner is asked to tally: (params, (seed, stream_count, n_samples), schemes,
+# with_rates, with_counts)
+_Job = tuple[SystemParams, tuple[int, int, int], tuple[SchemeId, ...], bool, bool]
 
-# the last call's (seed, stream_count, n_samples) key; a call that repeats it keeps its draw set
-_last_key: tuple[int, int, int] | None = None
+# this process's shards of the last key it drew, when the key has at most _KEEP_MAX_DRAWS
+# draws: ((key, first, step), one tuple of read-only blocks per shard); see _own_tallies
+_kept: tuple[tuple[tuple[int, int, int], int, int], tuple[tuple[_Block, ...], ...]] | None = None
 
 
 def _draw(stream: GainStream, size: int) -> Iterator[_Block]:
@@ -325,20 +328,22 @@ def _draw(stream: GainStream, size: int) -> Iterator[_Block]:
         done += m
 
 
-def _shard_blocks(seed: int, stream_count: int, n_samples: int) -> list[Iterator[_Block]]:
-    """One block iterator per nonempty shard; zero-size shards come last, so shard i uses stream i."""
+def _shard_blocks(seed: int, stream_count: int, n_samples: int,
+                  first: int, step: int) -> list[Iterator[_Block]]:
+    """Block iterators of the nonempty shards first, first + step, ...
+
+    Zero-size shards come last, so shard i uses stream i.
+    """
     sizes = [size for size in _shard_sizes(n_samples, stream_count) if size > 0]
-    return [_draw(GainStream(seed, i), size) for i, size in enumerate(sizes)]
+    return [_draw(GainStream(seed, i), sizes[i]) for i in range(first, len(sizes), step)]
 
 
-@functools.lru_cache(maxsize=1)
-def _kept_shards(seed: int, stream_count: int, n_samples: int) -> tuple[tuple[_Block, ...], ...]:
-    """The whole draw set of a key as read-only per-shard tuples of blocks."""
-    shards = tuple(tuple(blocks) for blocks in _shard_blocks(seed, stream_count, n_samples))
-    for blocks in shards:
-        for g0, g1 in blocks:
-            g0.flags.writeable = g1.flags.writeable = False
-    return shards
+def _read_only(blocks: Iterable[_Block]) -> tuple[_Block, ...]:
+    """Draw a shard whole, read-only, so that no tally can change a kept block."""
+    blocks = tuple(blocks)
+    for g0, g1 in blocks:
+        g0.flags.writeable = g1.flags.writeable = False
+    return blocks
 
 
 def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[SchemeId, ...],
@@ -349,6 +354,31 @@ def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[Sc
     return total
 
 
+def _own_tallies(job: _Job, first: int, step: int) -> list[PopulationTally]:
+    """Tally shards first, first + step, ... of a job: one tally per shard, in shard order.
+
+    Owner k of W workers runs it with (k, W); a call with one worker runs it
+    in the calling process with (0, 1). A key of at most _KEEP_MAX_DRAWS draws
+    is drawn whole and its shards kept, read-only, for the jobs that repeat
+    it; a new key releases the kept shards before drawing. Whatever shards a
+    job tallies are the deterministic draw for its key, tallied block by
+    block, so every count and rate sum is the same either way.
+    """
+    global _kept
+    params, key, schemes, with_rates, with_counts = job
+    mine = (key, first, step)
+    kept = _kept  # read once: another thread of this process may replace it
+    if kept is not None and kept[0] == mine:
+        shards = kept[1]
+    else:
+        _kept = None  # release the old draws before drawing the new ones
+        shards = _shard_blocks(*key, first, step)
+        if key[2] <= _KEEP_MAX_DRAWS:
+            shards = tuple(_read_only(blocks) for blocks in shards)
+            _kept = (mine, shards)
+    return [_run_shard(params, blocks, schemes, with_rates, with_counts) for blocks in shards]
+
+
 def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
                    schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
                    with_rates: bool = False, workers: int | None = None, *,
@@ -357,59 +387,131 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
 
     with_counts and with_rates pick the tally's products, as in tally_population.
     """
-    global _last_key
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     nworkers = _worker_count(workers)
-    key = (sampler.seed, sampler.stream_count, n_samples)
-    repeat, _last_key = key == _last_key, key
-    if not repeat:
-        _kept_shards.cache_clear()  # release the old set before drawing the new one
-    jobs = _kept_shards(*key) if repeat and n_samples <= _KEEP_MAX_DRAWS else _shard_blocks(*key)
-    if nworkers == 1 or len(jobs) == 1:
-        shard_tallies = [_run_shard(params, blocks, schemes, with_rates, with_counts)
-                         for blocks in jobs]
-    else:
-        with _pool_lock:  # a pool is never shut down between getting it and submitting to it
-            pool = _executor(nworkers)
-            futures = [pool.submit(_run_shard, params, blocks, schemes, with_rates, with_counts)
-                       for blocks in jobs]
-        shard_tallies = [f.result() for f in futures]  # shard order, not completion order
+    job = (params, (sampler.seed, sampler.stream_count, n_samples), schemes, with_rates, with_counts)
+    shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, nworkers)
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for t in shard_tallies:
         total.merge(t)
     return total
 
 
-# the shard pool and its worker count; see _executor
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
+# the shard owners: (process, the caller's end of its pipe), owner k first; see _owner_pool
+_owners: tuple = ()
+_owners_lock = threading.Lock()
 
 
-def _executor(nworkers: int) -> ThreadPoolExecutor:
-    """The process's shard pool of nworkers threads, kept from one call to the next.
+def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
+    """Every shard's tally from the process's nworkers owners, in shard order.
 
-    Starting and joining two threads for every call cost ~0.3 ms (2 vCPUs),
-    a thirtieth of a 10^6-draw counts cell. A call with another worker count
-    shuts the kept pool down (its submitted shards still finish) and keeps a
-    new one. Call under _pool_lock.
+    An exception that an owner raised is raised here, once every owner has
+    answered, so the next call starts from a quiet pipe.
     """
-    global _pool
-    if _pool is None or _pool[0] != nworkers:
-        if _pool is not None:
-            _pool[1].shutdown(wait=False)
-        _pool = (nworkers, ThreadPoolExecutor(max_workers=nworkers))
-    return _pool[1]
+    _, stream_count, n_samples = job[1]
+    nshards = min(n_samples, stream_count)  # the nonempty ones
+    with _owners_lock:  # one job at a time on the pipes
+        owners = _owner_pool(nworkers)[:nshards]
+        try:
+            for _, conn in owners:
+                conn.send(job)
+            replies = [conn.recv() for _, conn in owners]
+        except (OSError, EOFError) as exc:
+            _stop_owners()
+            raise RuntimeError("a Monte Carlo worker process ended during the call; "
+                               "the next call starts new ones") from exc
+        except BaseException:  # interrupted: the owners' late replies would answer the next call
+            _stop_owners()
+            raise
+    for ok, value in replies:
+        if not ok:
+            raise value
+    # owner k holds shards k, k + nworkers, ...
+    return [replies[i % nworkers][1][i // nworkers] for i in range(nshards)]
 
 
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads, and any holder of the lock, are not there."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _owner_pool(nworkers: int) -> tuple:
+    """The process's nworkers shard owners, kept from one call to the next.
+
+    Owners are forked, daemonic processes, started on the first call with
+    more than one worker; only then is multiprocessing imported (~5 ms).
+    Starting two owners costs another ~7 ms (2 vCPUs), about one 10^6-draw
+    counts cell, so they are kept. A call with another worker count, or one
+    that finds an owner dead, stops the kept owners and forks new ones. Call
+    under _owners_lock.
+    """
+    global _owners
+    if len(_owners) == nworkers and all(proc.is_alive() for proc, _ in _owners):
+        return _owners
+    _stop_owners()
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")  # an owner needs no fresh import
+    for k in range(nworkers):
+        ours, theirs = context.Pipe()
+        proc = context.Process(target=_owner_main, args=(ours, theirs, k, nworkers),
+                               name=f"crnoma-shard-owner-{k}", daemon=True)
+        proc.start()
+        theirs.close()  # so that the owner's death reads as EOF here
+        _owners += ((proc, ours),)
+    return _owners
+
+
+def _owner_main(ours, theirs, first: int, step: int) -> None:
+    """An owner's life: answer each job with its shards' tallies until the caller's end closes.
+
+    The at-fork hook has closed the caller's ends of the earlier owners'
+    pipes; closing this pipe's as well lets the caller's exit, or death,
+    read as EOF here.
+    """
+    global _kept
+    ours.close()
+    _kept = None  # the caller's draws; this owner keeps only its own shards
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to report
+    while True:
+        try:
+            job = theirs.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, _own_tallies(job, first, step))
+        except Exception as exc:  # the caller raises it
+            reply = (False, exc)
+        theirs.send(reply)
+
+
+def _stop_owners() -> None:
+    """Stop the kept owners and wait for them to exit. Call under _owners_lock, or where no call runs."""
+    global _owners
+    owners, _owners = _owners, ()
+    for proc, conn in owners:
+        conn.close()
+        proc.terminate()
+    for proc, _ in owners:
+        proc.join()
+        proc.close()
+
+
+def _forget_owners() -> None:
+    """In a forked child: the parent's owners, and any holder of the lock, are not its own.
+
+    Closing the child's copies of the parent's pipe ends leaves the parent's
+    open, and dropping the owners from multiprocessing's children keeps the
+    child's exit from signalling them.
+    """
+    global _owners, _owners_lock
+    if _owners:
+        from multiprocessing import process
+
+        process._children.difference_update(proc for proc, _ in _owners)
+        for _, conn in _owners:
+            conn.close()
+    _owners, _owners_lock = (), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_owners)
 
 
 def _tally_products(metrics: Iterable[Metric]) -> tuple[bool, bool]:

@@ -78,7 +78,7 @@ def _check_monte_carlo(samples: int, seed: int) -> tuple[bool, str]:
             sigma = math.sqrt(expected * (1.0 - expected) / samples)
             if sigma > 0.0:
                 worst = max(worst, abs(est.mean - expected) / sigma)
-    # 4.5 sigma over 24 comparisons keeps the false-alarm rate ~1e-4
+    # 4.5 sigma over 12 comparisons (6 targets x 2 configs) keeps the false-alarm rate ~8e-5
     return worst <= 4.5, f"max |z|={worst:.2f} over analytic targets (limit 4.5)"
 
 

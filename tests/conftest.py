@@ -4,7 +4,17 @@ from pathlib import Path
 import pytest
 
 import crnoma
-from crnoma import SystemParams, db_to_linear
+from crnoma import SystemParams, db_to_linear, estimator
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_owner_left():
+    """Stop the Monte Carlo shard owners at the end of the session; fail if any process is left."""
+    yield
+    estimator._stop_owners()
+    import multiprocessing
+
+    assert not multiprocessing.active_children(), multiprocessing.active_children()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import signal
@@ -89,13 +90,17 @@ class TestBatchSemantics:
 
 
 def _empty_kept_set():
-    estimator._kept_shards.cache_clear()
-    estimator._last_key = None
+    """No kept draws anywhere: drop this process's and stop the owners, which keep their own.
+
+    Owners forked later also see any module constant a test patches.
+    """
+    estimator._kept = None
+    estimator._stop_owners()
 
 
 @pytest.fixture
 def empty_kept_set():
-    """Start from an empty kept draw set, and leave none behind; call it to empty the set again."""
+    """Start from no kept draws and no owners, and leave none behind; call it to empty again."""
     _empty_kept_set()
     yield _empty_kept_set
     _empty_kept_set()
@@ -360,11 +365,20 @@ class TestStrips:
         assert rates_only.case_ii == rates_only.primary_outage == 0
         assert all(st.outage_total == 0 for st in rates_only.schemes.values())
 
-    def test_counts_without_rates_are_unsplit(self, gains):
+    def test_counts_without_rates_are_unsplit(self, gains, monkeypatch):
+        # counts run on strips too, and equal one count over the whole arrays
         params = make_params(12.0, 17.0, 1.0, 1.5)
         g0, g1 = gains[0][:100_003], gains[1][:100_003]
+        sizes, tally = [], estimator._tally
+
+        def spy(params, g0, *args):
+            sizes.append(g0.size)
+            return tally(params, g0, *args)
+
+        monkeypatch.setattr(estimator, "_tally", spy)
         assert (tally_population(params, g0, g1, tuple(SECONDARY))
                 == _unsplit_tally(params, g0, g1, tuple(SECONDARY), with_rates=False))
+        assert sum(sizes) == 100_003 and max(sizes) <= estimator._STRIP
 
     def test_numpy_sums_pairwise_as_assumed(self):
         # The strips rest on numpy summing a contiguous float64 array pairwise, splitting n
@@ -397,14 +411,23 @@ def _reference_tally(params, seed, stream_count, n, schemes, with_rates, tally=t
     return total
 
 
+def _kept_key():
+    """The key whose shards this process keeps, or None."""
+    return estimator._kept and estimator._kept[0][0]
+
+
 class TestKeptDrawSet:
-    """simulate_tally keeps a draw set that two calls in a row ask for, and tallies it again."""
+    """A call keeps its own shards of a key and tallies them again while calls repeat the key.
+
+    The spies see the calling process, so the draws are counted at one worker,
+    where the owner code runs in the caller; the owners' tallies must equal it.
+    """
 
     SCHEMES = tuple(SECONDARY)
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch, empty_kept_set):
-        # several blocks per shard at a small n, and an empty kept set to start from
+        # several blocks per shard at a small n, and no kept draws to start from
         monkeypatch.setattr(estimator, "_BLOCK", 1000)
 
     @pytest.fixture
@@ -418,11 +441,6 @@ class TestKeptDrawSet:
 
         monkeypatch.setattr(GainStream, "gains", counted)
         return calls
-
-    @staticmethod
-    def kept():
-        """How many draw sets are kept: 0 or 1."""
-        return estimator._kept_shards.cache_info().currsize
 
     def reference(self, params, seed, stream_count, n, with_rates):
         return _reference_tally(params, seed, stream_count, n, self.SCHEMES, with_rates)
@@ -440,72 +458,89 @@ class TestKeptDrawSet:
         gains_calls.clear()
         assert self.simulate(first, *key, with_rates) == ref_first
         assert sum(gains_calls) == 23_456  # a first call draws every realization once
-        assert estimator._last_key == key and self.kept() == 0  # and keeps only its key
-        assert self.simulate(second, *key, with_rates, workers=2) == ref_second
-        assert sum(gains_calls) == 2 * 23_456  # a repeat draws again and keeps the set
-        assert estimator._last_key == key and self.kept() == 1
-        assert self.simulate(second, *key, with_rates, workers=1) == ref_second
-        assert self.simulate(first, *key, with_rates, workers=2) == ref_first
-        assert self.simulate(first, *key, with_rates, workers=1) == ref_first
-        assert sum(gains_calls) == 2 * 23_456  # later calls draw nothing
+        assert _kept_key() == key  # and keeps them
+        assert self.simulate(second, *key, with_rates) == ref_second
+        assert self.simulate(first, *key, with_rates) == ref_first
+        assert sum(gains_calls) == 23_456  # later calls draw nothing
+        for workers in (2, 3, 2, 3):  # drawn and kept by the owners, then tallied again
+            assert self.simulate(second, *key, with_rates, workers=workers) == ref_second
+            assert self.simulate(first, *key, with_rates, workers=workers) == ref_first
+
+    def test_owner_keeps_only_its_shards(self):
+        params = make_params(10.0, 10.0, 1.0, 1.0)
+        job = (params, (40, 5, 23_456), self.SCHEMES, True, True)
+        mine = estimator._own_tallies(job, 1, 2)  # owner 1 of 2: shards 1 and 3
+        kept_for, shards = estimator._kept
+        assert kept_for == ((40, 5, 23_456), 1, 2)
+        assert [sum(g0.size for g0, _ in blocks) for blocks in shards] == [4691, 4691]
+        assert mine == estimator._own_tallies(job, 1, 2)  # from the kept shards
+        assert estimator._kept[1] is shards
+        every = estimator._own_tallies(job, 0, 1)  # another layout draws its own shards
+        assert every[1::2] == mine and len(every) == 5
+        assert estimator._kept[0] == ((40, 5, 23_456), 0, 1)
 
     @pytest.mark.parametrize("changed", [(41, 5, 23_456), (40, 6, 23_456), (40, 5, 23_457)])
     def test_new_key_replaces_kept_set(self, changed, gains_calls):
         params = make_params(12.0, 17.0, 1.0, 1.5)
         expected = self.reference(params, *changed, True)
         expected_old = self.reference(params, 40, 5, 23_456, True)
-        for _ in range(2):
-            self.simulate(params, 40, 5, 23_456, True)
-        assert self.kept() == 1
+        self.simulate(params, 40, 5, 23_456, True)
+        assert _kept_key() == (40, 5, 23_456)
         gains_calls.clear()
-        assert self.simulate(params, *changed, True, workers=2) == expected
+        assert self.simulate(params, *changed, True) == expected
         assert sum(gains_calls) == changed[2]
-        # the old set is released, the new one not kept
-        assert estimator._last_key == changed and self.kept() == 0
+        assert _kept_key() == changed  # the old set is released, the new one kept
         gains_calls.clear()
         assert self.simulate(params, 40, 5, 23_456, True) == expected_old
         assert sum(gains_calls) == 23_456  # the old set is gone
+        for workers in (2, 3):  # the owners replace their kept shards too
+            assert self.simulate(params, *changed, True, workers=workers) == expected
+            assert self.simulate(params, 40, 5, 23_456, True, workers=workers) == expected_old
 
     def test_new_key_releases_kept_set_before_drawing(self, monkeypatch):
         params = make_params(12.0, 17.0, 1.0, 1.5)
         expected = self.reference(params, 41, 5, 23_456, False)
-        for _ in range(2):
-            self.simulate(params, 40, 5, 23_456, False)
-        assert self.kept() == 1
+        self.simulate(params, 40, 5, 23_456, False)
+        assert _kept_key() == (40, 5, 23_456)
         kept_at_draw = []
         gains = GainStream.gains
 
         def counted(stream, n):
-            kept_at_draw.append(self.kept())
+            kept_at_draw.append(_kept_key())
             return gains(stream, n)
 
         monkeypatch.setattr(GainStream, "gains", counted)
-        assert self.simulate(params, 41, 5, 23_456, False, workers=2) == expected
-        assert len(kept_at_draw) == 5 * 5 and set(kept_at_draw) == {0}  # from the first block on
+        assert self.simulate(params, 41, 5, 23_456, False) == expected
+        assert len(kept_at_draw) == 5 * 5 and set(kept_at_draw) == {None}  # from the first block on
+        for workers in (2, 3):
+            assert self.simulate(params, 41, 5, 23_456, False, workers=workers) == expected
 
     def test_kept_arrays_are_read_only(self):
-        for _ in range(2):
-            self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False)
-        assert estimator._last_key == (42, 3, 5_000) and self.kept() == 1
-        hits = estimator._kept_shards.cache_info().hits
-        shards = estimator._kept_shards(42, 3, 5_000)
-        assert estimator._kept_shards.cache_info().hits == hits + 1
+        expected = self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False)
+        assert _kept_key() == (42, 3, 5_000)
+        shards = estimator._kept[1]
         assert [sum(g0.size for g0, _ in blocks) for blocks in shards] == [1667, 1667, 1666]
         for blocks in shards:
             for g0, g1 in blocks:
                 assert not g0.flags.writeable and not g1.flags.writeable
         with pytest.raises(ValueError):
             shards[0][0][0][0] = 0.0
+        for workers in (2, 3):
+            for _ in range(2):
+                assert self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False,
+                                     workers=workers) == expected
 
     def test_set_above_cap_is_drawn_on_every_call(self, monkeypatch, gains_calls):
-        monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", 4_999)
+        monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", 4_999)  # before any owner is forked
         params = make_params(10.0, 10.0, 1.0, 1.0)
         expected = self.reference(params, 43, 4, 5_000, True)
         gains_calls.clear()
-        for workers in (1, 2, 1):
-            assert self.simulate(params, 43, 4, 5_000, True, workers=workers) == expected
+        for _ in range(3):
+            assert self.simulate(params, 43, 4, 5_000, True) == expected
         assert sum(gains_calls) == 3 * 5_000
-        assert estimator._last_key == (43, 4, 5_000) and self.kept() == 0
+        assert _kept_key() is None
+        for workers in (2, 3, 2):
+            assert self.simulate(params, 43, 4, 5_000, True, workers=workers) == expected
 
     def test_threads_with_different_keys_get_their_own_draws(self):
         # more threads than cores, switching often, each on a key of its own or a shared one
@@ -534,9 +569,18 @@ class TestKeptDrawSet:
 
 
 class TestBlocksAboveStrip:
-    """Shard blocks larger than _STRIP, streamed and kept, at several worker counts."""
+    """Shard blocks larger than _STRIP, drawn and kept, at several worker counts.
+
+    The spy sees the calling process, so it counts the one-worker calls; the
+    owners' tallies at `workers` must equal them.
+    """
 
     KEY = (48, 3, 120_000)  # three shards of one 40,000-draw block each
+
+    def simulate(self, params, schemes, workers, **kwargs):
+        seed, stream_count, n = self.KEY
+        return simulate_tally(params, SamplerConfig(seed=seed, stream_count=stream_count), n,
+                              schemes, with_rates=True, workers=workers, **kwargs)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_rates_equal_unsplit_one_tally_per_block(self, workers, monkeypatch, empty_kept_set):
@@ -551,27 +595,24 @@ class TestBlocksAboveStrip:
             return tally(params, g0, g1, *args, **kwargs)
 
         monkeypatch.setattr(estimator, "tally_population", counted)
-        seed, stream_count, n = self.KEY
-        for kept in (0, 1, 1):  # a new key streams; a repeat keeps the set, then tallies it
+        for kept in (None, self.KEY, self.KEY):  # a new key is drawn and kept, then tallied again
+            assert _kept_key() == kept
             sizes.clear()
-            got = simulate_tally(params, SamplerConfig(seed=seed, stream_count=stream_count), n,
-                                 schemes, with_rates=True, workers=workers)
-            assert got == expected
-            assert estimator._kept_shards.cache_info().currsize == kept
+            assert self.simulate(params, schemes, 1) == expected
             assert sizes == [40_000] * 3  # one tally_population call per block, not per strip
+        for _ in range(2):
+            assert self.simulate(params, schemes, workers) == expected
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_rates_only_sums_equal_combined(self, workers, empty_kept_set):
         params = make_params(12.0, 17.0, 1.0, 1.5)
         schemes = tuple(SECONDARY)
         expected = _rate_sums(_reference_tally(params, *self.KEY, schemes, True))
-        seed, stream_count, n = self.KEY
-        for kept in (0, 1, 1):  # streamed, then kept, then tallied from the kept set
-            got = simulate_tally(params, SamplerConfig(seed=seed, stream_count=stream_count), n,
-                                 schemes, with_rates=True, workers=workers, with_counts=False)
+        for _ in range(3):  # drawn and kept, then tallied from the kept shards
+            got = self.simulate(params, schemes, workers, with_counts=False)
             assert _rate_sums(got) == expected
             assert (got.has_counts, got.has_rates) == (False, True)
-            assert estimator._kept_shards.cache_info().currsize == kept
+        assert _kept_key() == (self.KEY if workers == 1 else None)  # owners keep their own
 
 
 class TestTallyProducts:
@@ -637,55 +678,62 @@ class TestTallyProducts:
         assert mixed == alone
 
 
+def _owner_pids():
+    return [proc.pid for proc, _ in estimator._owners]
+
+
+def _exited(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 class TestShardPool:
-    """simulate_tally keeps one pool of worker threads per process, for the last worker count."""
-
-    @pytest.fixture
-    def shard_threads(self, monkeypatch):
-        """The thread that tallied each block, in call order."""
-        seen, tally = [], estimator.tally_population
-
-        def spy(*args, **kwargs):
-            seen.append(threading.current_thread())
-            return tally(*args, **kwargs)
-
-        monkeypatch.setattr(estimator, "tally_population", spy)
-        return seen
+    """simulate_tally keeps one set of shard-owner processes per process, for the last worker count."""
 
     @staticmethod
     def run(workers):
         return simulate_tally(make_params(10.0, 10.0, 1.0, 1.0), SamplerConfig(seed=51, stream_count=8),
                               8_000, (SchemeId.RS, SchemeId.CSI_SIC), workers=workers)
 
-    def test_calls_reuse_the_pool_threads(self, shard_threads):
-        self.run(2)
-        first = set(shard_threads)
-        shard_threads.clear()
-        self.run(2)
-        assert threading.current_thread() not in first
-        assert all(t.is_alive() for t in first)  # kept between calls, not joined after each
-        assert len(first | set(shard_threads)) <= 2
+    def test_calls_reuse_the_owners(self, empty_kept_set):
+        expected = self.run(1)
+        assert self.run(2) == expected
+        pids = _owner_pids()
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert self.run(2) == expected
+        assert _owner_pids() == pids  # kept between calls, not started for each
+        assert all(proc.is_alive() for proc, _ in estimator._owners)
 
-    def test_new_worker_count_shuts_the_old_pool_down(self, shard_threads):
+    def test_new_worker_count_shuts_the_old_pool_down(self, empty_kept_set):
         self.run(2)
-        old = set(shard_threads)
-        shard_threads.clear()
+        old = _owner_pids()
         self.run(3)
-        assert not old & set(shard_threads)
-        for t in old:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in old)
+        assert len(_owner_pids()) == 3 and not set(old) & set(_owner_pids())
+        assert all(_exited(pid) for pid in old)  # stopped and reaped
 
-    def test_one_worker_leaves_the_pool_alone(self, shard_threads):
-        expected = self.run(2)
-        pool = set(shard_threads)
-        shard_threads.clear()
+    def test_one_worker_leaves_the_pool_alone(self, empty_kept_set, monkeypatch):
+        import multiprocessing
+
+        expected = self.run(1)
+        assert estimator._owners == () and not multiprocessing.active_children()  # none started
+        assert self.run(2) == expected
+        pids = _owner_pids()
+        seen, tally = [], estimator.tally_population
+
+        def spy(*args, **kwargs):
+            seen.append(os.getpid())
+            return tally(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "tally_population", spy)
         assert self.run(1) == expected
-        assert set(shard_threads) == {threading.current_thread()}
-        assert all(t.is_alive() for t in pool)
+        assert set(seen) == {os.getpid()}  # tallied in the calling process
+        assert _owner_pids() == pids and all(proc.is_alive() for proc, _ in estimator._owners)
 
     def test_threads_switching_worker_counts_get_their_results(self):
-        # each call may shut down the pool that the other thread's shards are queued on
+        # each call may stop the owners that the other thread's last call used
         expected = self.run(1)
         got = {2: [], 3: []}
 
@@ -707,11 +755,18 @@ class TestShardPool:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_a_pool_of_its_own(self):
-        expected = self.run(2)  # the parent holds a pool now; its threads do not exist in a child
+        import multiprocessing
+
+        expected = self.run(2)  # the parent holds owners now; they are not the child's
+        pids = _owner_pids()
         pid = os.fork()
         if pid == 0:
             try:
-                ok = self.run(2) == expected
+                ok = (estimator._owners == ()
+                      and not {p.pid for p in multiprocessing.active_children()} & set(pids)
+                      and self.run(2) == expected
+                      and not set(_owner_pids()) & set(pids))
+                estimator._stop_owners()
             except BaseException:
                 ok = False
             os._exit(0 if ok else 1)
@@ -723,6 +778,123 @@ class TestShardPool:
                 pytest.fail("simulate_tally hung in a forked child")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert self.run(2) == expected and _owner_pids() == pids  # the parent's are untouched
+
+
+# Starts two owners, prints their pids and waits for its standard input to close.
+_OWNERS_CHILD = (
+    "import sys, crnoma; from crnoma import estimator; "
+    "crnoma.simulate_tally(crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0), "
+    "crnoma.SamplerConfig(seed=1), 10_000, workers=2); "
+    "print(*(proc.pid for proc, _ in estimator._owners), flush=True); sys.stdin.read()"
+)
+
+# Runs _OWNERS_CHILD, ends it (argv[1]: "exit" closes its input, "kill" SIGKILLs it) and
+# reports which owners are still there 10 s later. It adopts orphans (Linux
+# PR_SET_CHILD_SUBREAPER) and reaps them, so an owner that exited never lingers as a zombie.
+_OWNERS_HARNESS = r"""
+import ctypes, json, os, subprocess, sys, time
+assert ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0) == 0
+child = subprocess.Popen([sys.executable, "-c", sys.argv[2]], stdin=subprocess.PIPE,
+                         stdout=subprocess.PIPE, text=True)
+pids = [int(pid) for pid in child.stdout.readline().split()]
+started = []
+for pid in pids:
+    os.kill(pid, 0)
+    started.append(pid)
+if sys.argv[1] == "kill":
+    child.kill()
+else:
+    child.stdin.close()
+child.wait(timeout=60)
+alive, deadline = set(pids), time.monotonic() + 10
+while alive and time.monotonic() < deadline:
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0] > 0:
+            pass
+    except ChildProcessError:
+        pass
+    for pid in list(alive):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            alive.discard(pid)
+    time.sleep(0.02)
+print(json.dumps({"started": started, "alive": sorted(alive)}))
+"""
+
+
+class TestOwnerLifecycle:
+    """Owners end with their caller, report their errors, and survive neither a kill nor Ctrl-C quietly."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs prctl")
+    @pytest.mark.parametrize("end", ["exit", "kill"])
+    def test_owners_end_with_their_caller(self, end):
+        proc = subprocess.run([sys.executable, "-c", _OWNERS_HARNESS, end, _OWNERS_CHILD],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert len(report["started"]) == 2 and report["alive"] == []
+
+    def test_owner_error_reaches_the_caller(self, params_10db):
+        sampler = SamplerConfig(seed=52)
+        expected = simulate_tally(params_10db, sampler, 10_000, workers=1)
+        simulate_tally(params_10db, sampler, 10_000, workers=2)
+        pids = _owner_pids()
+        with pytest.raises(UnknownSchemeError, match="^unknown scheme 'bogus'$"):
+            simulate_tally(params_10db, sampler, 10_000, ("bogus",), workers=2)
+        assert simulate_tally(params_10db, sampler, 10_000, workers=2) == expected
+        assert _owner_pids() == pids  # an error in the tally leaves the owners running
+
+    @pytest.mark.parametrize("killed", [[0], [0, 1]])
+    @pytest.mark.parametrize("wait", [False, True])
+    def test_killed_owner_is_an_error_or_replaced(self, params_10db, killed, wait):
+        sampler = SamplerConfig(seed=53)
+        expected = simulate_tally(params_10db, sampler, 20_000, workers=1)
+        assert simulate_tally(params_10db, sampler, 20_000, workers=2) == expected
+        owners = estimator._owners
+        pids = {owners[k][0].pid for k in killed}
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        if wait:
+            for k in killed:
+                owners[k][0].join(timeout=30)
+        outcome = []
+
+        def call():
+            try:
+                outcome.append(simulate_tally(params_10db, sampler, 20_000, workers=2))
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "simulate_tally hung after an owner was killed"
+        got, = outcome
+        assert got == expected or "worker process ended" in str(got)
+        assert wait is False or got == expected  # a dead owner found before the call is replaced
+        assert simulate_tally(params_10db, sampler, 20_000, workers=2) == expected
+        assert not set(_owner_pids()) & pids
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+    def test_ctrl_c_prints_one_traceback(self):
+        code = ("import sys, crnoma; p = crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0); "
+                "crnoma.simulate_tally(p, crnoma.SamplerConfig(seed=1), 10_000, workers=2); "
+                "print('ready', flush=True)\n"
+                "while True: crnoma.simulate_tally(p, crnoma.SamplerConfig(seed=2), 4_000_000, workers=2)")
+        with subprocess.Popen([sys.executable, "-c", code], env=src_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+            try:
+                assert proc.stdout.readline() == "ready\n"
+                time.sleep(0.5)
+                os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C sends: the whole process group
+                _, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode != 0
+        assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt"), err
 
 
 class TestWorkerCount:
@@ -754,6 +926,18 @@ def test_import_does_not_load_scipy():
             "p = crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0); "
             "assert crnoma.case_ii_outage_quadrature(p) > 0.0; "
             "assert 'scipy' not in sys.modules, sorted(sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_multiprocessing():
+    code = ("import crnoma, sys; assert 'multiprocessing' not in sys.modules; "
+            "p = crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0); "
+            "crnoma.simulate_tally(p, crnoma.SamplerConfig(seed=1), 1_000, workers=1); "
+            "assert 'multiprocessing' not in sys.modules; "
+            "crnoma.simulate_tally(p, crnoma.SamplerConfig(seed=1), 1_000, workers=2); "
+            "assert 'multiprocessing' in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -174,10 +174,12 @@ class TestRunSweep:
         monkeypatch.setattr(estimator, "tally_population", spy)
         spec = small_spec(schemes=(SchemeId.RS, SchemeId.CSI_SIC), metrics=metrics,
                           engine="MONTE_CARLO")
-        result = run_sweep(spec)
+        result = run_sweep(spec, workers=1)  # the spy sees the calling process only
         assert not result.failures
         assert len(result.rows) == 2 * 2 * len(metrics)
         assert requested and set(requested) == {products}
+        for workers in (2, 3):
+            assert run_sweep(spec, workers=workers) == result
 
 
 class TestEmit:

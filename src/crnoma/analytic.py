@@ -27,6 +27,10 @@ Probabilities are clamped to [0, 1] only after checking the raw value lies in
 [-1e-9, 1 + 1e-9]; a worse violation raises instead of hiding a broken formula.
 Where the admission probability underflows (eta0 above ~708), the conditional
 outage drops the factor exp(-eta0) that it shares with every case-II term.
+
+``analytic_report`` evaluates each case term once and returns the same
+values, and raises the same errors, as the standalone forms. Its result and
+``HighSnrApprox`` are frozen, slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -37,11 +41,16 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, ProbabilityRangeError, UnknownSchemeError
 from .params import DerivedConstants, SystemParams, derive_constants
-from .strategy import SchemeId
+from .strategy import _NH_SIC, _QOS_SIC, _RS, SchemeId
 
 _RANGE_SLACK = 1e-9
 # below this, width*(1+nu) is treated by series instead of the generic quotient
 _SERIES_CUTOFF = 1e-6
+
+
+def _token(scheme: SchemeId) -> object:
+    """The scheme's CLI token, such as csi-sic; a value that is not a SchemeId as it is."""
+    return getattr(scheme, "value", scheme)
 
 
 def _as_probability(raw: float, what: str) -> float:
@@ -110,13 +119,13 @@ def _case_ii_raw(scheme: SchemeId, params: SystemParams, c: DerivedConstants,
     QoS-SIC: as NH-SIC, to eta0*(1+eps1)/(1 - eps0*eps1), or to infinity once eps0*eps1 >= 1.
     """
     hi: float | None = _strip_end(c)
-    if scheme is SchemeId.RS:
+    if scheme is _RS:
         return _admission_strip(params, c, hi, shift) - _rs_crossing_strip(params, c, hi, shift)
-    if scheme is SchemeId.QOS_SIC:
+    if scheme is _QOS_SIC:
         product = c.eps0 * c.eps1
         hi = hi / (1.0 - product) if product < 1.0 else None
-    elif scheme is not SchemeId.NH_SIC:
-        raise UnknownSchemeError(f"no closed-form case-II outage for {scheme}")
+    elif scheme is not _NH_SIC:
+        raise UnknownSchemeError(f"no closed-form case-II outage for {_token(scheme)}")
     return _admission_strip(params, c, hi, shift) - _first_clear_strip(params, c, hi, shift)
 
 
@@ -165,7 +174,7 @@ def rs_total_outage(params: SystemParams) -> float:
     return _as_probability(raw, "rs_total_outage")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HighSnrApprox:
     """First-order outage approximation plus the second-order case terms."""
 
@@ -268,12 +277,12 @@ def conditional_case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
 
 def total_outage(scheme: SchemeId, params: SystemParams) -> float:
     """Secondary outage probability of a scheme with a closed form (RS, NH-SIC, QoS-SIC)."""
-    if scheme is SchemeId.RS:
+    if scheme is _RS:
         return rs_total_outage(params)
-    if scheme in (SchemeId.NH_SIC, SchemeId.QOS_SIC):
+    if scheme is _NH_SIC or scheme is _QOS_SIC:
         raw = rs_case_i_outage(params) + case_ii_outage(scheme, params) + rs_case_iii_outage(params)
         return _as_probability(raw, f"total_outage[{scheme.value}]")
-    raise UnknownSchemeError(f"no closed-form total outage for {scheme}")
+    raise UnknownSchemeError(f"no closed-form total outage for {_token(scheme)}")
 
 
 def total_outage_high_snr(scheme: SchemeId, params: SystemParams) -> float:
@@ -284,11 +293,11 @@ def total_outage_high_snr(scheme: SchemeId, params: SystemParams) -> float:
     18.92 at p1 = -20 dB, r1 = 0.25), where the approximation does not apply.
     """
     c = derive_constants(params)
-    if scheme in (SchemeId.RS, SchemeId.NH_SIC):
+    if scheme is _RS or scheme is _NH_SIC:
         return c.eta1
-    if scheme is SchemeId.QOS_SIC:
+    if scheme is _QOS_SIC:
         return c.eta1 + qos_sic_outage_floor(params)
-    raise UnknownSchemeError(f"no high-SNR approximation for {scheme}")
+    raise UnknownSchemeError(f"no high-SNR approximation for {_token(scheme)}")
 
 
 def delay_limited_throughput(scheme: SchemeId, params: SystemParams) -> float:
@@ -296,7 +305,7 @@ def delay_limited_throughput(scheme: SchemeId, params: SystemParams) -> float:
     return params.r1_hat * (1.0 - total_outage(scheme, params))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalyticReport:
     """Per-case and total secondary outage of one scheme, with the high-SNR headline."""
 
@@ -309,12 +318,18 @@ class AnalyticReport:
 
 
 def analytic_report(scheme: SchemeId, params: SystemParams) -> AnalyticReport:
-    """All closed-form outage terms of one scheme in a single pass."""
-    return AnalyticReport(
-        scheme=scheme,
-        pout_case_i=rs_case_i_outage(params),
-        pout_case_ii=case_ii_outage(scheme, params),
-        pout_case_iii=rs_case_iii_outage(params),
-        pout_total=total_outage(scheme, params),
-        pout_total_hi_snr=total_outage_high_snr(scheme, params),
-    )
+    """All closed-form outage terms of one scheme in a single pass.
+
+    Each case term is evaluated once. The NH-SIC and QoS-SIC total is
+    total_outage's own sum of those three values, so every field, and every
+    error raised, is the standalone form's.
+    """
+    case_i = rs_case_i_outage(params)
+    case_ii = case_ii_outage(scheme, params)  # raises first for a scheme without closed forms
+    case_iii = rs_case_iii_outage(params)
+    if scheme is _RS:
+        total = rs_total_outage(params)
+    else:
+        total = _as_probability(case_i + case_ii + case_iii, f"total_outage[{scheme.value}]")
+    return AnalyticReport(scheme, case_i, case_ii, case_iii, total,
+                          total_outage_high_snr(scheme, params))

@@ -43,8 +43,15 @@ def _add_params_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r1", type=float, required=True, help="secondary target rate [BPCU]")
 
 
+def _linear(flag: str, value_db: float) -> float:
+    try:
+        return db_to_linear(value_db)
+    except OverflowError:
+        raise ParameterError(f"{flag} {value_db!r} is too large: its linear power overflows") from None
+
+
 def _params_from(args: argparse.Namespace) -> SystemParams:
-    return SystemParams(p0=db_to_linear(args.p0_db), p1=db_to_linear(args.p1_db),
+    return SystemParams(p0=_linear("--p0-db", args.p0_db), p1=_linear("--p1-db", args.p1_db),
                         r0_hat=args.r0, r1_hat=args.r1)
 
 
@@ -67,6 +74,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 def _cmd_outage(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    sampler = SamplerConfig(seed=args.seed)  # checks the seed before any output
     scheme = _SCHEME_TOKENS[args.scheme]
     status = 0
     if args.engine in ("analytic", "both"):
@@ -89,7 +97,6 @@ def _cmd_outage(args: argparse.Namespace) -> int:
                 quad = case_ii_outage_quadrature(params)
                 print(f"quadrature pout_case_ii={quad!r}")
     if args.engine in ("sim", "both"):
-        sampler = SamplerConfig(seed=args.seed)
         metrics = [Metric.OUTAGE_TOTAL, Metric.OUTAGE_CASE_I, Metric.OUTAGE_CASE_II,
                    Metric.OUTAGE_CASE_III]
         if scheme is SchemeId.OMA_PRIMARY:

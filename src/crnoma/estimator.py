@@ -247,7 +247,7 @@ def _scheme_tally(rule: _Rule, own: _SchemeRule | None,
     return st
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutageEstimate:
     """Monte Carlo mean with its standard error and 95% interval.
 

@@ -142,7 +142,7 @@ def load_spec(path: str | Path) -> SweepSpec:
     return SweepSpec.from_dict(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     axis_value: float
     scheme: SchemeId
@@ -152,7 +152,7 @@ class SweepRow:
     std_error: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellFailure:
     axis_value: float
     scheme: SchemeId

@@ -3,6 +3,10 @@
 Powers are linear transmit SNRs (noise power normalized to 1); target rates
 are in bits per channel use (BPCU). The dB -> linear helper exists for the
 CLI boundary only; the library API is linear throughout.
+
+The types are frozen dataclasses. DerivedConstants and ChannelRealization
+have __slots__ and no __dict__; SystemParams keeps a __dict__, which holds
+its derived constants once they are computed.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class SystemParams:
         return _derive_constants(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedConstants:
     """SINR thresholds eps_i = 2^r_i - 1 and normalized thresholds eta_i = eps_i / p_i."""
 
@@ -93,7 +97,7 @@ def _derive_constants(params: SystemParams) -> DerivedConstants:
     return DerivedConstants(eps0=eps0, eps1=eps1, eta0=eps0 / params.p0, eta1=eps1 / params.p1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelRealization:
     """One Rayleigh-fading draw: squared channel magnitudes of both users."""
 

@@ -52,8 +52,7 @@ def _check_quadrature() -> tuple[bool, str]:
     return worst <= 1e-9, f"max |closed-quadrature|={worst:.2e} (tol 1e-9)"
 
 
-def _check_monte_carlo(samples: int, seed: int) -> tuple[bool, str]:
-    sampler = SamplerConfig(seed=seed)
+def _check_monte_carlo(samples: int, sampler: SamplerConfig) -> tuple[bool, str]:
     worst = 0.0
     configs = [
         SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0),     # p0 = p1 singular branch
@@ -83,10 +82,11 @@ def _check_monte_carlo(samples: int, seed: int) -> tuple[bool, str]:
 
 
 def run_selftest(samples: int = 1_000_000, seed: int = 2024) -> int:
+    sampler = SamplerConfig(seed=seed)  # a bad seed raises ParameterError before any check prints
     checks = [
         ("identity: case decomposition and nh-rs gap", lambda: _check_identities()),
         ("oracle: quadrature vs closed form", lambda: _check_quadrature()),
-        ("oracle: Monte Carlo vs closed form", lambda: _check_monte_carlo(samples, seed)),
+        ("oracle: Monte Carlo vs closed form", lambda: _check_monte_carlo(samples, sampler)),
     ]
     failed = 0
     for name, check in checks:

@@ -30,6 +30,7 @@ from crnoma import (
     total_outage,
     total_outage_high_snr,
 )
+from crnoma import analytic
 from crnoma.analytic import _case_ii_raw, _scaled_strip
 from crnoma.selftest import parameter_grid
 
@@ -336,6 +337,62 @@ class TestThroughputAndReport:
         from crnoma import UnknownSchemeError
         with pytest.raises(UnknownSchemeError):
             total_outage(SchemeId.CSI_SIC, make_params(10.0, 10.0, 1.0, 1.0))
+
+
+# the point-eval benchmark grid: every power in 5 dB steps, every rate pair
+POINT_POWERS_DB = tuple(float(v) for v in range(-20, 61, 5))
+POINT_RATES = (0.25, 1.0, 2.0, 4.0)
+CLOSED_FORM = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC)
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReportMatchesStandaloneForms:
+    """analytic_report computes each term once; every field is the standalone form's value."""
+
+    # the default slack, and one that makes ~half the grid's terms raise, so the
+    # report's error order is checked against the standalone forms too
+    @pytest.mark.parametrize("slack", [analytic._RANGE_SLACK, -0.01], ids=["default", "raising"])
+    def test_point_eval_grid(self, monkeypatch, slack):
+        monkeypatch.setattr(analytic, "_RANGE_SLACK", slack)
+        raised = 0
+        for p0_db in POINT_POWERS_DB:
+            for p1_db in POINT_POWERS_DB:
+                for r0 in POINT_RATES:
+                    for r1 in POINT_RATES:
+                        params = make_params(p0_db, p1_db, r0, r1)
+                        for scheme in CLOSED_FORM:
+                            forms = [_value_or_error(rs_case_i_outage, params),
+                                     _value_or_error(case_ii_outage, scheme, params),
+                                     _value_or_error(rs_case_iii_outage, params),
+                                     _value_or_error(total_outage, scheme, params),
+                                     _value_or_error(total_outage_high_snr, scheme, params)]
+                            got = _value_or_error(analytic_report, scheme, params)
+                            errors = [f for f in forms if isinstance(f, tuple)]
+                            if errors:
+                                raised += 1
+                                assert got == errors[0], (scheme, params)
+                                continue
+                            assert (got.scheme, got.pout_case_i, got.pout_case_ii, got.pout_case_iii,
+                                    got.pout_total, got.pout_total_hi_snr) == (scheme, *forms)
+        assert raised == 0 if slack > 0 else raised > 0
+
+    @pytest.mark.parametrize("scheme", [SchemeId.CSI_SIC, SchemeId.OMA_PRIMARY])
+    def test_errors_name_the_scheme_token(self, scheme):
+        from crnoma import UnknownSchemeError
+        params = make_params(10.0, 10.0, 1.0, 1.0)
+        for f, text in ((analytic_report, "no closed-form case-II outage"),
+                        (case_ii_outage, "no closed-form case-II outage"),
+                        (total_outage, "no closed-form total outage"),
+                        (total_outage_high_snr, "no high-SNR approximation")):
+            with pytest.raises(UnknownSchemeError) as exc:
+                f(scheme, params)
+            assert str(exc.value) == f"{text} for {scheme.value}"
 
 
 def _mp_case_ii_outage(scheme: SchemeId, params: SystemParams, conditional: bool):

@@ -78,6 +78,12 @@ class TestOutage:
         assert code == 1
         assert "unavailable" in err
 
+    def test_unavailable_names_the_scheme_token(self, capsys):
+        code, out, err = run_cli(capsys, "outage", "--engine", "analytic", "--scheme", "csi-sic",
+                                 "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1")
+        assert code == 1 and out == ""
+        assert err == "analytic: unavailable (no closed-form case-II outage for csi-sic)\n"
+
     def test_oma_sim_reports_primary(self, capsys):
         code, out, _ = run_cli(capsys, "outage", "--engine", "sim", "--scheme", "oma",
                                "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1",
@@ -116,6 +122,34 @@ class TestBoundaryErrors:
         assert err.count("\n") == 1 and err.startswith("crnoma: error: ")
         assert "Traceback" not in err and "FAILED cell" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("rate", "--p0-db", "4000", "--p1-db", "10", "--r0", "1", "--r1", "1",
+          "--g0", "1", "--g1", "1"), "--p0-db"),
+        (("outage", "--engine", "analytic", "--p0-db", "10", "--p1-db", "4000",
+          "--r0", "1", "--r1", "1"), "--p1-db"),
+        (("outage", "--engine", "sim", "--p0-db", "1e308", "--p1-db", "10",
+          "--r0", "1", "--r1", "1", "--samples", "1e3"), "--p0-db"),
+    ], ids=["rate-p0", "outage-p1", "outage-sim-p0"])
+    def test_overflowing_db_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        self.assert_one_error_line(code, out, err)
+        assert err.startswith(f"crnoma: error: {flag} ") and "too large" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("outage", "--engine", "both", "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1",
+         "--samples", "1e3", "--seed", "-1"),
+        ("outage", "--engine", "analytic", "--p0-db", "10", "--p1-db", "10", "--r0", "1",
+         "--r1", "1", "--seed", "-1"),
+        ("outage", "--engine", "sim", "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1",
+         "--samples", "1e3", "--seed", str(2**64)),
+        ("selftest", "--samples", "1e3", "--seed", "-1"),
+        ("selftest", "--samples", "1e3", "--seed", str(2**64)),
+    ], ids=["outage-both", "outage-analytic", "outage-sim-2^64", "selftest", "selftest-2^64"])
+    def test_bad_seed_is_refused_before_any_output(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        self.assert_one_error_line(code, out, err)
+        assert err.startswith("crnoma: error: seed must be an integer in [0, 2^64)")
 
     def test_bad_worker_count_fails_sweep_once(self, capsys, monkeypatch):
         monkeypatch.setenv("CRNOMA_WORKERS", "abc")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -10,11 +11,18 @@ from scipy import stats
 
 import crnoma.params
 from crnoma import (
+    AnalyticReport,
     ChannelRealization,
+    DerivedConstants,
     GainStream,
+    HighSnrApprox,
+    Metric,
+    OutageEstimate,
     ParameterError,
+    RsDecision,
     SamplerConfig,
     SchemeId,
+    SweepRow,
     SystemParams,
     analytic_report,
     case_ii_outage_quadrature,
@@ -23,7 +31,10 @@ from crnoma import (
     delay_limited_throughput,
     derive_constants,
     evaluate_outcome,
+    rs_decide,
+    rs_high_snr,
 )
+from crnoma.experiments import CellFailure
 
 
 class TestDerivedConstants:
@@ -146,6 +157,63 @@ class TestConstantsMemo:
         for k in range(20):
             evaluate_outcome(tuple(SchemeId)[k % len(SchemeId)], p, chan)
         assert derivations == [p]
+
+
+def _slotted_values() -> list:
+    params = SystemParams(p0=10.0, p1=20.0, r0_hat=1.0, r1_hat=2.0)
+    chan = ChannelRealization(g0=1.5, g1=0.5)
+    return [
+        analytic_report(SchemeId.QOS_SIC, params),
+        rs_high_snr(params),
+        rs_decide(params, chan),
+        derive_constants(params),
+        chan,
+        OutageEstimate(SchemeId.RS, Metric.OUTAGE_TOTAL, 0.1, 0.01, 0.08, 0.12, 1000),
+        SweepRow(10.0, SchemeId.RS, Metric.OUTAGE_TOTAL, "MONTE_CARLO", 0.1, 0.01),
+        CellFailure(10.0, SchemeId.CSI_SIC, Metric.OUTAGE_TOTAL, "ANALYTIC", "csi-sic has no closed form"),
+    ]
+
+
+class TestSlottedValueTypes:
+    """The frozen value types carry __slots__ and behave as before otherwise."""
+
+    def test_every_type_is_covered(self):
+        assert {type(v) for v in _slotted_values()} == {
+            AnalyticReport, HighSnrApprox, RsDecision, DerivedConstants, ChannelRealization,
+            OutageEstimate, SweepRow, CellFailure}
+
+    @pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
+    def test_copies_are_equal_with_equal_hash(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and twin is not value
+            assert hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
+    def test_frozen_and_without_dict(self, value):
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            vars(value)
+
+    @pytest.mark.parametrize("gains, message", [
+        (dict(g0=-0.1, g1=1.0), "g0 must be finite and >= 0, got -0.1"),
+        (dict(g0=1.0, g1=float("inf")), "g1 must be finite and >= 0, got inf"),
+        (dict(g0=float("nan"), g1=1.0), "g0 must be finite and >= 0, got nan"),
+        (dict(g0="abc", g1=1.0), "g0 must be a number, got 'abc'"),
+        (dict(g0=1.0, g1=None), "g1 must be a number, got None"),
+        (dict(g0=True, g1=1.0), "g0 must be a number, got True"),
+    ])
+    def test_channel_realization_messages(self, gains, message):
+        with pytest.raises(ParameterError) as exc:
+            ChannelRealization(**gains)
+        assert str(exc.value) == message
+
+    def test_channel_realization_stores_floats(self):
+        chan = ChannelRealization(g0=2, g1=3)
+        assert (type(chan.g0), type(chan.g1)) == (float, float)
+        assert (chan.g0, chan.g1) == (2.0, 3.0)
 
 
 def test_db_round_trip():

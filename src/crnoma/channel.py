@@ -51,6 +51,14 @@ class GainStream:
         self.rng = np.random.Generator(np.random.Philox(key=[seed, stream_index]))
 
     def gains(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n gain pairs as two float64 arrays (g0, g1)."""
+        """Draw n gain pairs as two float64 arrays (g0, g1), the rows of one (2, n) array.
+
+        The transform runs in place on that array, so a block allocates it
+        and the uniforms, and no temporary per gain.
+        """
         u = self.rng.random((n, 2))
-        return -np.log1p(-u[:, 0]), -np.log1p(-u[:, 1])
+        g = np.empty((2, n))
+        np.negative(u.T, out=g)
+        np.log1p(g, out=g)
+        np.negative(g, out=g)
+        return g[0], g[1]

@@ -40,6 +40,22 @@ sets are drawn block by block on every call. Whatever shards a call
 tallies are the deterministic draw for its key, tallied in the same block
 and merge order, so every count and rate sum is bit-identical either way.
 
+Counts-only jobs on kept shards skip most draws. Every comparison in the
+rule (``_Rule.comparisons``) is monotone in g0 and in g1, so a rectangle of
+the gain plane whose four corners agree on every comparison holds no draw
+that disagrees: all its draws share one outcome. On a key's second
+counts-only job, its holder indexes the kept shards (``_GainIndex``): a
+64 x 64 grid over the uniforms behind the gains, u = 1 - e^-g, with each
+nonempty cell's draw count, least and greatest g0 and g1, and a copy of the
+draws sorted by cell (16 more bytes per kept draw). Each later counts-only
+job evaluates the rule at the corners of every cell's bounding box, counts
+each cell whose corners agree on every comparison as its draw count times
+the corners' outcome, and tallies only the other cells' draws (about 11% on
+the figure presets) on strips. Counts are integers, so the total is the
+strip path's exactly, and an owner returns it as one pooled tally. Rates
+jobs, counts-and-rates jobs, the first counts-only job on a key and keys
+that are not kept take the strip path. The index goes with the kept shards.
+
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
 rate ordering rs >= nh-sic >= qos-sic >= csi-sic carries over to the counts
@@ -67,6 +83,7 @@ from .strategy import SchemeId, _Rule, _SchemeRule
 _BLOCK = 1 << 20  # realizations per vectorized block inside a shard
 _KEEP_MAX_DRAWS = 1 << 20  # largest draw set kept between calls: 16 MiB at 16 bytes per draw
 _STRIP = 1 << 14  # most realizations per rule evaluation with rates (see _tally_strips)
+_GRID = 64  # cells per gain axis of a _GainIndex
 _WORKERS_ENV = "CRNOMA_WORKERS"
 _Z95 = 1.959963984540054
 
@@ -206,21 +223,30 @@ def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
 
 
 def _tally(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
-           schemes: tuple[SchemeId, ...], with_counts: bool, with_rates: bool) -> PopulationTally:
+           schemes: tuple[SchemeId, ...], with_counts: bool, with_rates: bool,
+           weights: np.ndarray | None = None) -> PopulationTally:
+    """The rule's counts and sums over the arrays; weights[i] counts realization i that many times.
+
+    Weights serve counts alone: _GainIndex passes one realization per whole
+    cell, weighted by the cell's draws.
+    """
     rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_counts, with_rates, np)
-    n = int(g0.size)
+    if weights is None:
+        n, count = int(g0.size), _count
+    else:
+        n, count = int(weights.sum()), lambda mask: int(np.dot(weights, mask))
     tally = PopulationTally(n=n, has_counts=with_counts, has_rates=with_rates)
     shared = None
     if with_counts:
-        admitted = _count(rule.admitted)
-        tally.case_i = _count(rule.case_i)
+        admitted = count(rule.admitted)
+        tally.case_i = count(rule.case_i)
         tally.case_ii = admitted - tally.case_i
         tally.case_iii = n - admitted
-        tally.primary_outage = _count(rule.primary_outage)
+        tally.primary_outage = count(rule.primary_outage)
         # the case-I and case-III outage tests that every admission scheme shares, counted once
-        shared = (_count(rule.fail_i), _count(rule.fail_iii))
+        shared = (count(rule.fail_i), count(rule.fail_iii))
     for scheme in schemes:
-        tally.schemes[scheme] = _scheme_tally(rule, rule.scheme(scheme), shared)
+        tally.schemes[scheme] = _scheme_tally(rule, rule.scheme(scheme), shared, count)
     return tally
 
 
@@ -228,19 +254,19 @@ def _count(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _scheme_tally(rule: _Rule, own: _SchemeRule | None,
-                  shared: tuple[int, int] | None) -> SchemeTally:
+def _scheme_tally(rule: _Rule, own: _SchemeRule | None, shared: tuple[int, int] | None,
+                  count=_count) -> SchemeTally:
     """Counts and sums of one scheme; its arrays are freed before the next scheme's are built."""
     st = SchemeTally()
     if own is None:
         return st
     if own.shared_fail is not None:
         st.outage_case_i, st.outage_case_iii = shared
-        st.outage_case_ii = _count(own.own_fail)
+        st.outage_case_ii = count(own.own_fail)
     elif own.own_fail is not None:  # CSI-SIC: one test over every case
-        st.outage_case_i = _count(rule.case_i & own.own_fail)
-        st.outage_case_iii = _count(rule.case_iii & own.own_fail)
-        st.outage_case_ii = _count(own.own_fail) - st.outage_case_i - st.outage_case_iii
+        st.outage_case_i = count(rule.case_i & own.own_fail)
+        st.outage_case_iii = count(rule.case_iii & own.own_fail)
+        st.outage_case_ii = count(own.own_fail) - st.outage_case_i - st.outage_case_iii
     if own.rate is not None:
         st.rate_sum = float(own.rate.sum())
         st.rate_sq_sum = float(np.square(own.rate).sum())
@@ -284,7 +310,7 @@ def _bernoulli_estimate(scheme: SchemeId, metric: Metric, successes: int, n: int
 
 
 def _worker_count(workers: int | None) -> int:
-    """Threads for the shards: the argument, else CRNOMA_WORKERS, else min(2, CPUs).
+    """Worker processes for the shards: the argument, else CRNOMA_WORKERS, else min(2, CPUs).
 
     A count that is not an integer of at least 1 raises ParameterError naming its source.
     """
@@ -314,9 +340,88 @@ _Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
 # with_rates, with_counts)
 _Job = tuple[SystemParams, tuple[int, int, int], tuple[SchemeId, ...], bool, bool]
 
+
+class _GainIndex:
+    """An owner's kept draws (the caller's, at one worker), binned by cells of the gain plane.
+
+    The cells are a fixed _GRID x _GRID grid over the uniforms behind the
+    gains, u = 1 - e^-g, so each holds about as many draws as any other.
+    The index stores each nonempty cell's draw count, the least and greatest
+    g0 and g1 of its draws, and the draws themselves sorted by cell.
+
+    Every comparison that _Rule.comparisons lists is monotone in g0 and in
+    g1. So where one agrees at the four corners of a cell's bounding box, it
+    takes the same value on every draw inside, and where all agree, every
+    outage test does too: such a cell is whole, and its draws count as its
+    corner's outcome times its draw count. Only the draws of the other,
+    mixed cells are tallied one by one. Counts are integers, so the tally
+    equals the strip path's, draw for draw.
+    """
+
+    __slots__ = ("counts", "corners", "starts", "gains")
+
+    def __init__(self, shards: Iterable[Iterable[_Block]]) -> None:
+        blocks = [block for blocks in shards for block in blocks]
+        # block by block and row by row, so that no temporary is as large as the index
+        cell = np.concatenate([_grid_row(g0) * np.uint16(_GRID) + _grid_row(g1) for g0, g1 in blocks])
+        order = np.argsort(cell, kind="stable")  # a radix sort on 16-bit cells
+        counts = np.bincount(cell, minlength=_GRID * _GRID)
+        self.counts = counts[counts > 0]
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)))
+        self.gains = gains = np.empty((2, cell.size))  # the draws cell by cell
+        for row in (0, 1):
+            np.take(np.concatenate([block[row] for block in blocks]), order, out=gains[row])
+        low = np.minimum.reduceat(gains, self.starts[:-1], axis=1)
+        high = np.maximum.reduceat(gains, self.starts[:-1], axis=1)
+        # the cells' four corners, corner by corner: (low, low), (low, high), (high, low), (high, high)
+        self.corners = (np.concatenate((low[0], low[0], high[0], high[0])),
+                        np.concatenate((low[1], high[1], low[1], high[1])))
+
+    def whole(self, params: SystemParams, schemes: tuple[SchemeId, ...]) -> np.ndarray:
+        """Whether each nonempty cell is whole: its four corners agree on every comparison."""
+        g0, g1 = self.corners
+        rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, True, False, np)
+        tests = np.stack(rule.comparisons([rule.scheme(s) for s in schemes]))
+        tests = tests.reshape(len(tests), 4, self.counts.size)
+        return (tests.all(axis=1) == tests.any(axis=1)).all(axis=0)
+
+    def tally(self, params: SystemParams, schemes: tuple[SchemeId, ...]) -> PopulationTally:
+        """The counts of tally_population over every indexed draw."""
+        whole = self.whole(params, schemes)
+        k = self.counts.size
+        total = _tally(params, self.corners[0][:k][whole], self.corners[1][:k][whole], schemes,
+                       True, False, weights=self.counts[whole])
+        # the mixed cells' draws, one slice per run of adjacent mixed cells
+        edges = self.starts[np.flatnonzero(np.diff(whole, prepend=True, append=True))].tolist()
+        mixed = np.concatenate([self.gains[:, a:b] for a, b in zip(edges[::2], edges[1::2])]
+                               or [self.gains[:, :0]], axis=1)
+        total.merge(tally_population(params, mixed[0], mixed[1], schemes))
+        return total
+
+
+def _grid_row(g: np.ndarray) -> np.ndarray:
+    """The grid row of each gain: floor(_GRID * u), u = 1 - e^-g, as 16-bit integers."""
+    u = np.expm1(-g)
+    u *= -_GRID
+    return np.minimum(u, _GRID - 1, out=u).astype(np.uint16)
+
+
+class _Kept:
+    """This process's shards of the last key it drew and, once a second counts job asks, their index."""
+
+    __slots__ = ("mine", "shards", "counted", "index")
+
+    def __init__(self, mine: tuple[tuple[int, int, int], int, int],
+                 shards: tuple[tuple[_Block, ...], ...]) -> None:
+        self.mine = mine  # (key, first, step)
+        self.shards = shards  # one tuple of read-only blocks per shard
+        self.counted = False  # whether a counts-only job has tallied these shards
+        self.index: _GainIndex | None = None
+
+
 # this process's shards of the last key it drew, when the key has at most _KEEP_MAX_DRAWS
-# draws: ((key, first, step), one tuple of read-only blocks per shard); see _own_tallies
-_kept: tuple[tuple[tuple[int, int, int], int, int], tuple[tuple[_Block, ...], ...]] | None = None
+# draws; see _own_tallies
+_kept: _Kept | None = None
 
 
 def _draw(stream: GainStream, size: int) -> Iterator[_Block]:
@@ -357,25 +462,35 @@ def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[Sc
 def _own_tallies(job: _Job, first: int, step: int) -> list[PopulationTally]:
     """Tally shards first, first + step, ... of a job: one tally per shard, in shard order.
 
+    A counts-only job on indexed shards gets one tally of them all instead.
     Owner k of W workers runs it with (k, W); a call with one worker runs it
     in the calling process with (0, 1). A key of at most _KEEP_MAX_DRAWS draws
     is drawn whole and its shards kept, read-only, for the jobs that repeat
-    it; a new key releases the kept shards before drawing. Whatever shards a
-    job tallies are the deterministic draw for its key, tallied block by
+    it; a new key releases the kept shards, and their index, before drawing.
+    The second counts-only job on kept shards indexes them (_GainIndex), and
+    it and every later one take their counts from the index. Whatever shards
+    a job tallies are the deterministic draw for its key, tallied block by
     block, so every count and rate sum is the same either way.
     """
     global _kept
     params, key, schemes, with_rates, with_counts = job
     mine = (key, first, step)
     kept = _kept  # read once: another thread of this process may replace it
-    if kept is not None and kept[0] == mine:
-        shards = kept[1]
+    if kept is not None and kept.mine == mine:
+        shards = kept.shards
     else:
-        _kept = None  # release the old draws before drawing the new ones
+        kept = _kept = None  # release the old draws before drawing the new ones
         shards = _shard_blocks(*key, first, step)
         if key[2] <= _KEEP_MAX_DRAWS:
             shards = tuple(_read_only(blocks) for blocks in shards)
-            _kept = (mine, shards)
+            kept = _kept = _Kept(mine, shards)
+    if kept is not None and with_counts and not with_rates:
+        index = kept.index
+        if index is None and kept.counted:
+            index = kept.index = _GainIndex(shards)
+        kept.counted = True
+        if index is not None:
+            return [index.tally(params, schemes)]
     return [_run_shard(params, blocks, schemes, with_rates, with_counts) for blocks in shards]
 
 
@@ -427,6 +542,8 @@ def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
     for ok, value in replies:
         if not ok:
             raise value
+    if not job[3]:  # without rate sums, integer counts add up the same in any order
+        return [tally for _, owned in replies for tally in owned]
     # owner k holds shards k, k + nworkers, ...
     return [replies[i % nworkers][1][i // nworkers] for i in range(nshards)]
 
@@ -538,7 +655,8 @@ def estimate_from_tally(scheme: SchemeId, metric: Metric, params: SystemParams,
     """
     n = tally.n
     if scheme is SchemeId.OMA_PRIMARY and metric not in (Metric.PRIMARY_OUTAGE, Metric.ADMISSION):
-        raise UnknownSchemeError(f"{scheme} carries no secondary transmission; {metric} undefined")
+        raise UnknownSchemeError(f"{scheme.value} carries no secondary transmission; "
+                                 f"{metric.value} undefined")
     needs_counts, needs_rates = _tally_products([metric])
     if (needs_counts and not tally.has_counts) or (needs_rates and not tally.has_rates):
         needed = "outage counts" if needs_counts else "rate sums"

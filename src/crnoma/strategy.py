@@ -37,6 +37,7 @@ the rates, and a tally whichever its metrics need. Their results,
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -106,6 +107,7 @@ class _SchemeRule:
                        # case for CSI-SIC; None without outages
     rate: Any          # achieved rate; None without rates
     case_ii_rate: Any  # the scheme's case-II rate, silence ignored; None without rates or for CSI-SIC
+    tests: tuple = ()  # the comparisons of the gains that own_fail adds to the rule's; () without outages
 
     @property
     def outage(self) -> Any:
@@ -134,12 +136,18 @@ class _Rule:
     p0g0 > eps0 implies fl(p0g0/eps0) >= 1, so the budget is already >= 0
     wherever a block is admitted. Complements are taken with ^, since ~ on a
     Python bool is integer negation.
+
+    Every outage test is a Boolean combination of the comparisons that
+    comparisons() lists, and each of those is monotone in g0 and in g1: both
+    sides are built from the gains and positive constants by correctly
+    rounded products, quotients, sums and differences, each monotone in
+    each of its operands.
     """
 
-    __slots__ = ("c", "p0g0", "p1g1", "ns", "outages", "rates", "budget", "admitted", "case_i",
-                 "case_ii", "noise_x0", "case_iii", "primary_outage", "first_fail", "last_fail",
-                 "fail_i", "fail_iii", "tau", "first_rate", "last_rate", "x11_rate", "x12_rate",
-                 "shared_rate")
+    __slots__ = ("c", "p0g0", "p1g1", "ns", "outages", "rates", "budget", "admitted", "within",
+                 "case_i", "case_ii", "noise_x0", "case_iii", "primary_outage", "first_fail",
+                 "last_fail", "fail_i", "fail_iii", "tau", "first_rate", "last_rate", "x11_rate",
+                 "x12_rate", "shared_rate")
 
     def __init__(self, c: DerivedConstants, p0g0: Any, p1g1: Any, outages: bool, rates: bool,
                  ns: Any) -> None:
@@ -147,7 +155,8 @@ class _Rule:
         self.outages, self.rates = outages, rates
         self.admitted = admitted = p0g0 > c.eps0  # tau > 0
         self.budget = budget = p0g0 / c.eps0 - 1.0
-        self.case_i = admitted & (p1g1 <= budget)
+        self.within = p1g1 <= budget
+        self.case_i = admitted & self.within
         self.case_ii = admitted ^ self.case_i
         self.noise_x0 = noise_x0 = p0g0 + 1.0
         if outages:
@@ -177,17 +186,22 @@ class _Rule:
             # dynamic ordering by received power, no admission rule
             u1_first = p1g1 >= p0g0
             x0_need = c.eps0 * (p1g1 + 1.0)
-            outage = ((u1_first & self.first_fail) | ((p1g1 < p0g0) & ((p0g0 < x0_need) | self.last_fail))
-                      if outages else None)
+            outage, tests = None, ()
+            if outages:
+                u1_second, x0_short = p1g1 < p0g0, p0g0 < x0_need
+                outage = (u1_first & self.first_fail) | (u1_second & (x0_short | self.last_fail))
+                tests = (u1_first, u1_second, x0_short)
             # U1 decoded second earns nothing unless x0 was decoded first
             rate = (ns.where(u1_first, self.first_rate, self.last_rate * (p0g0 >= x0_need))
                     if rates else None)
-            return _SchemeRule(None, outage, rate, None)
+            return _SchemeRule(None, outage, rate, None, tests)
         fail_ii = rate_ii = achieved_ii = None
+        tests = ()
         if scheme is _RS:
             need = (1.0 + c.eps0) * (1.0 + c.eps1) - self.noise_x0
             if outages:
                 fail_ii = p1g1 < need
+                tests = (fail_ii,)
             if rates:
                 rate_ii = self.x11_rate + self.x12_rate
                 achieved_ii = rate_ii * (p1g1 >= need)  # silent blocks earn nothing
@@ -201,7 +215,9 @@ class _Rule:
         elif scheme is _NH_SIC:
             if outages:
                 # the budget is tau in case II
-                fail_ii = self.first_fail & (self.budget < c.eps1)
+                short = self.budget < c.eps1
+                fail_ii = self.first_fail & short
+                tests = (short,)
             if rates:
                 rate_ii = achieved_ii = ns.maximum(self.first_rate, self.x12_rate)
         else:
@@ -211,10 +227,24 @@ class _Rule:
         else:
             shared = own = None
         if not rates:
-            return _SchemeRule(shared, own, None, None)
+            return _SchemeRule(shared, own, None, None, tests)
         rate = (self.shared_rate if achieved_ii is None
                 else ns.where(self.case_ii, achieved_ii, self.shared_rate))
-        return _SchemeRule(shared, own, rate, rate_ii)
+        return _SchemeRule(shared, own, rate, rate_ii, tests)
+
+    def comparisons(self, owns: Iterable[_SchemeRule | None]) -> list:
+        """The comparisons of the gains behind the outage tests of the rule and of owns.
+
+        owns are this rule's scheme() results (None for OMA_PRIMARY). The
+        rule's outage tests must be built. Where every comparison listed
+        agrees on two realizations, so does every outage test, case mask
+        and primary outage of the rule and of owns.
+        """
+        tests = [self.admitted, self.within, self.primary_outage, self.first_fail, self.last_fail]
+        for own in owns:
+            if own is not None:
+                tests.extend(own.tests)
+        return tests
 
     def case_label(self) -> CaseLabel:
         """Case of a single realization (floats only)."""

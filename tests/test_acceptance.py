@@ -17,6 +17,7 @@ import sys
 from statistics import NormalDist
 
 import numpy as np
+import pytest
 
 import crnoma as cn
 from crnoma import Metric, SamplerConfig, SchemeId, SystemParams
@@ -98,6 +99,7 @@ def _oracle_targets(params, tally):
     ]
 
 
+@pytest.mark.slow
 def test_criterion_3_oracle_agreement():
     """Quadrature within 1e-9 and 1e7-sample Monte Carlo within 3 sigma, full grid."""
     sampler = SamplerConfig(seed=ACCEPTANCE_SEED)
@@ -137,6 +139,7 @@ def _sidak_z(comparisons: int, family_alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - per_test / 2.0)
 
 
+@pytest.mark.slow
 def test_criterion_3_on_further_seeds():
     """The criterion-3 grid at 1e6 draws for three more fixed seeds, family-wise |z| bound.
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnoma import (
     GainStream,
@@ -186,7 +187,8 @@ class TestConditionalAndThroughput:
         assert rs >= nh >= qos >= csi > 0.0
 
     def test_oma_rejects_secondary_metrics(self, params_10db):
-        with pytest.raises(UnknownSchemeError):
+        with pytest.raises(UnknownSchemeError, match=r"^oma carries no secondary transmission; "
+                                                     r"outage-total undefined$"):
             estimate(SchemeId.OMA_PRIMARY, params_10db, Metric.OUTAGE_TOTAL,
                      1_000, SamplerConfig(seed=25))
 
@@ -413,7 +415,7 @@ def _reference_tally(params, seed, stream_count, n, schemes, with_rates, tally=t
 
 def _kept_key():
     """The key whose shards this process keeps, or None."""
-    return estimator._kept and estimator._kept[0][0]
+    return estimator._kept and estimator._kept.mine[0]
 
 
 class TestKeptDrawSet:
@@ -470,14 +472,14 @@ class TestKeptDrawSet:
         params = make_params(10.0, 10.0, 1.0, 1.0)
         job = (params, (40, 5, 23_456), self.SCHEMES, True, True)
         mine = estimator._own_tallies(job, 1, 2)  # owner 1 of 2: shards 1 and 3
-        kept_for, shards = estimator._kept
-        assert kept_for == ((40, 5, 23_456), 1, 2)
-        assert [sum(g0.size for g0, _ in blocks) for blocks in shards] == [4691, 4691]
+        kept = estimator._kept
+        assert kept.mine == ((40, 5, 23_456), 1, 2)
+        assert [sum(g0.size for g0, _ in blocks) for blocks in kept.shards] == [4691, 4691]
         assert mine == estimator._own_tallies(job, 1, 2)  # from the kept shards
-        assert estimator._kept[1] is shards
+        assert estimator._kept is kept and kept.index is None  # a rates job indexes nothing
         every = estimator._own_tallies(job, 0, 1)  # another layout draws its own shards
         assert every[1::2] == mine and len(every) == 5
-        assert estimator._kept[0] == ((40, 5, 23_456), 0, 1)
+        assert estimator._kept.mine == ((40, 5, 23_456), 0, 1)
 
     @pytest.mark.parametrize("changed", [(41, 5, 23_456), (40, 6, 23_456), (40, 5, 23_457)])
     def test_new_key_replaces_kept_set(self, changed, gains_calls):
@@ -518,7 +520,7 @@ class TestKeptDrawSet:
     def test_kept_arrays_are_read_only(self):
         expected = self.simulate(make_params(10.0, 10.0, 1.0, 1.0), 42, 3, 5_000, False)
         assert _kept_key() == (42, 3, 5_000)
-        shards = estimator._kept[1]
+        shards = estimator._kept.shards
         assert [sum(g0.size for g0, _ in blocks) for blocks in shards] == [1667, 1667, 1666]
         for blocks in shards:
             for g0, g1 in blocks:
@@ -613,6 +615,134 @@ class TestBlocksAboveStrip:
             assert _rate_sums(got) == expected
             assert (got.has_counts, got.has_rates) == (False, True)
         assert _kept_key() == (self.KEY if workers == 1 else None)  # owners keep their own
+
+
+_DB = st.floats(-20.0, 60.0)
+_RATE = st.floats(0.01, 8.0)
+
+
+@st.composite
+def _any_params(draw):
+    """A point of -20...60 dB and rates 0.01...8, equal powers often, or a boundary point."""
+    if draw(st.booleans()):
+        return SystemParams(*draw(st.sampled_from(TestBoundaries.POINTS)))
+    p0 = draw(_DB)
+    p1 = p0 if draw(st.booleans()) else draw(_DB)
+    return make_params(p0, p1, draw(_RATE), draw(_RATE))
+
+
+# a nonempty set of schemes, in SchemeId order
+_any_schemes = st.sets(st.sampled_from(list(SchemeId)), min_size=1).map(
+    lambda chosen: tuple(s for s in SchemeId if s in chosen))
+
+
+def _index_gains(side):
+    """Gains to index: random ones with the boundary grid, or the grid with only its neighbours
+    above (side 1) or below (side -1), so that every tie is a corner of its cell."""
+    edges = np.array(EDGE_GAINS)
+    if side == 0:
+        g0, g1 = GainStream(50, 0).gains(30_000)
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    else:
+        g0 = g1 = np.empty(0)
+        near = np.concatenate([edges, np.nextafter(edges, side * np.inf)])
+    e0, e1 = (a.ravel() for a in np.meshgrid(near, near))
+    return (g0, g1), (e0, e1)
+
+
+class TestGainIndex:
+    """Counts-only jobs on kept draws take whole cells of the gain plane from an index."""
+
+    SCHEMES = tuple(SchemeId)
+    KEY = (49, 5, 30_011)
+
+    @pytest.fixture(scope="class", params=[0, 1, -1])
+    def gains_and_index(self, request):
+        blocks = _index_gains(request.param)
+        return blocks, estimator._GainIndex((blocks,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=_any_params(), schemes=_any_schemes)
+    def test_index_counts_equal_strip_counts(self, gains_and_index, params, schemes):
+        ((g0, g1), (e0, e1)), index = gains_and_index
+        expected = tally_population(params, g0, g1, schemes)
+        expected.merge(tally_population(params, e0, e1, schemes))
+        got = index.tally(params, schemes)
+        assert got == expected
+        assert all(type(v) is int for v in _counts(got).values())
+
+    def test_index_takes_whole_cells(self):
+        # the index is only worth its name if most draws skip the rule
+        index = estimator._GainIndex((_index_gains(0),))
+        whole = index.whole(make_params(10.0, 10.0, 1.0, 1.0), self.SCHEMES)
+        assert index.counts[whole].sum() > 0.7 * index.counts.sum()
+        assert index.counts.sum() == index.gains.shape[1] == 30_000 + 36 ** 2
+
+    @settings(max_examples=12, deadline=None)
+    @given(params=_any_params(), schemes=_any_schemes)
+    def test_index_counts_equal_strip_counts_at_every_worker_count(self, params, schemes):
+        sampler = SamplerConfig(seed=self.KEY[0], stream_count=self.KEY[1])
+        expected = _reference_tally(params, *self.KEY, schemes, False)
+        for workers in (1, 2, 3):
+            for _ in range(2):  # the second counts job on the key takes the index
+                assert simulate_tally(params, sampler, self.KEY[2], schemes,
+                                      workers=workers) == expected
+            assert estimator._kept.index is not None  # at one worker, in this process
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=_any_params(), seed=st.integers(0, 2**32))
+    def test_each_comparison_changes_at_most_once_along_each_gain(self, params, seed):
+        c = derive_constants(params)
+        # gains about every threshold the rule has in g0 or g1 alone, and random ones
+        thresholds = np.array([c.eps0 / params.p0, c.eps1 / params.p1, *EDGE_GAINS])
+        g = np.concatenate([thresholds, np.nextafter(thresholds, 0.0),
+                            np.nextafter(thresholds, np.inf),
+                            np.random.default_rng(seed).exponential(1.0, 60)])
+        g = np.sort(g[np.isfinite(g)])
+        g0, g1 = np.meshgrid(g, g, indexing="ij")  # g0 along axis 0, g1 along axis 1
+        rule = _Rule(c, params.p0 * g0, params.p1 * g1, True, False, np)
+        tests = rule.comparisons([rule.scheme(s) for s in self.SCHEMES])
+        assert len(tests) == 5 + 1 + 1 + 3  # the rule's, RS's, NH-SIC's and CSI-SIC's
+        for test in tests:
+            for axis in (0, 1):
+                assert np.count_nonzero(np.diff(test, axis=axis), axis=axis).max() <= 1
+
+    def test_index_is_built_on_the_second_counts_job_and_dropped_with_its_key(self, monkeypatch,
+                                                                              empty_kept_set):
+        builds = []
+        build = estimator._GainIndex
+
+        def counted(shards):
+            builds.append(estimator._kept.mine)
+            return build(shards)
+
+        monkeypatch.setattr(estimator, "_GainIndex", counted)
+        first, second = make_params(10.0, 10.0, 1.0, 1.0), make_params(12.0, 17.0, 1.0, 1.5)
+        key, other = self.KEY, (51, 5, 30_011)
+
+        def simulate(params, key, with_rates=False):
+            got = simulate_tally(params, SamplerConfig(seed=key[0], stream_count=key[1]), key[2],
+                                 self.SCHEMES, with_rates, workers=1)
+            assert got == _reference_tally(params, *key, self.SCHEMES, with_rates)
+
+        simulate(first, key, with_rates=True)  # a rates job draws and keeps the key
+        simulate(second, key)  # the first counts job on the key: a one-off builds nothing
+        assert builds == [] and estimator._kept.index is None
+        simulate(first, key)  # the second builds the index
+        index = estimator._kept.index
+        assert builds == [(key, 0, 1)] and index is not None
+        for params in (second, first, second):
+            simulate(params, key)
+            simulate(params, key, with_rates=True)  # rates jobs keep the strip path, and the index
+        assert builds == [(key, 0, 1)] and estimator._kept.index is index
+        simulate(first, other)  # a new key drops the index with the kept shards
+        assert estimator._kept.mine[0] == other and estimator._kept.index is None
+        simulate(second, other)
+        assert builds == [(key, 0, 1), (other, 0, 1)]
+        monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", 30_010)  # keys above it are not kept
+        for params in (first, second, first):
+            simulate(params, key)
+        assert estimator._kept is None and len(builds) == 2
 
 
 class TestTallyProducts:

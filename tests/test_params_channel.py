@@ -267,6 +267,15 @@ class TestReproducibility:
         b0, b1 = GainStream(seed=7, stream_index=3).gains(1000)
         assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
 
+    @pytest.mark.parametrize("seed", [0, 7, 12_345])
+    @pytest.mark.parametrize("m", [1, 7, 62_500, 1 << 20])
+    def test_in_place_transform_equals_the_plain_expression(self, seed, m):
+        g0, g1 = GainStream(seed=seed, stream_index=2).gains(m)
+        u = np.random.Generator(np.random.Philox(key=[seed, 2])).random((m, 2))
+        assert g0.tobytes() == (-np.log1p(-u[:, 0])).tobytes()  # bit for bit
+        assert g1.tobytes() == (-np.log1p(-u[:, 1])).tobytes()
+        assert g0.flags.c_contiguous and g1.flags.c_contiguous
+
     def test_streams_differ(self):
         a0, _ = GainStream(seed=7, stream_index=0).gains(1000)
         b0, _ = GainStream(seed=7, stream_index=1).gains(1000)

@@ -7,7 +7,6 @@ reproducible Monte Carlo simulation.
 
 from .analytic import (
     AnalyticReport,
-    HighSnrApprox,
     admission_probability,
     analytic_report,
     case_ii_outage,
@@ -21,7 +20,6 @@ from .analytic import (
     rs_case_i_outage,
     rs_case_ii_outage,
     rs_case_iii_outage,
-    rs_high_snr,
     rs_total_outage,
     total_outage,
     total_outage_high_snr,

@@ -29,8 +29,8 @@ Where the admission probability underflows (eta0 above ~708), the conditional
 outage drops the factor exp(-eta0) that it shares with every case-II term.
 
 ``analytic_report`` evaluates each case term once and returns the same
-values, and raises the same errors, as the standalone forms. Its result and
-``HighSnrApprox`` are frozen, slotted dataclasses.
+values, and raises the same errors, as the standalone forms. Its result is a
+frozen, slotted dataclass.
 """
 
 from __future__ import annotations
@@ -174,28 +174,6 @@ def rs_total_outage(params: SystemParams) -> float:
     return _as_probability(raw, "rs_total_outage")
 
 
-@dataclass(frozen=True, slots=True)
-class HighSnrApprox:
-    """First-order outage approximation plus the second-order case terms."""
-
-    headline: float     # total outage ~ eta1
-    case_i: float       # ~ eta1
-    case_ii: float      # ~ eps0*eps1*(1+eps0)*(1+eps1) / p1^2
-    case_iii: float     # ~ eps0*eps1*(1+eps0) / p1^2
-
-
-def rs_high_snr(params: SystemParams) -> HighSnrApprox:
-    """High-SNR behavior of the RS outage: headline eta1, diversity order 1."""
-    c = derive_constants(params)
-    p1_sq = params.p1 * params.p1
-    return HighSnrApprox(
-        headline=c.eta1,
-        case_i=c.eta1,
-        case_ii=c.eps0 * c.eps1 * (1.0 + c.eps0) * (1.0 + c.eps1) / p1_sq,
-        case_iii=c.eps0 * c.eps1 * (1.0 + c.eps0) / p1_sq,
-    )
-
-
 def qos_sic_case_ii_outage(params: SystemParams) -> float:
     """Case-II outage of the QoS-SIC baseline.
 
@@ -288,8 +266,9 @@ def total_outage(scheme: SchemeId, params: SystemParams) -> float:
 def total_outage_high_snr(scheme: SchemeId, params: SystemParams) -> float:
     """Headline high-SNR total outage: eta1, plus the QoS-SIC floor where it exists.
 
-    This is an asymptote, not a probability, and is returned unchecked for
-    every scheme, as ``rs_high_snr`` does: at low SNR it exceeds 1 (eta1 is
+    This is the paper's one high-SNR claim: the RS total outage tends to
+    eta1, diversity order 1. It is an asymptote, not a probability, and is
+    returned unchecked for every scheme: at low SNR it exceeds 1 (eta1 is
     18.92 at p1 = -20 dB, r1 = 0.25), where the approximation does not apply.
     """
     c = derive_constants(params)

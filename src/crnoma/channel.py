@@ -48,7 +48,8 @@ class GainStream:
             raise ParameterError(f"stream_index out of range: {stream_index!r}")
         self.seed = seed
         self.stream_index = stream_index
-        self.rng = np.random.Generator(np.random.Philox(key=[seed, stream_index]))
+        key = np.array([seed, stream_index], dtype=np.uint64)  # a list makes seeds >= 2^63 float64
+        self.rng = np.random.Generator(np.random.Philox(key=key))
 
     def gains(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw n gain pairs as two float64 arrays (g0, g1), the rows of one (2, n) array.

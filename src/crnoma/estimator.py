@@ -43,18 +43,19 @@ and merge order, so every count and rate sum is bit-identical either way.
 Counts-only jobs on kept shards skip most draws. Every comparison in the
 rule (``_Rule.comparisons``) is monotone in g0 and in g1, so a rectangle of
 the gain plane whose four corners agree on every comparison holds no draw
-that disagrees: all its draws share one outcome. On a key's second
-counts-only job, its holder indexes the kept shards (``_GainIndex``): a
+that disagrees: all its draws share one outcome. The first counts-only job
+that finds its key already kept indexes the kept shards (``_GainIndex``): a
 64 x 64 grid over the uniforms behind the gains, u = 1 - e^-g, with each
 nonempty cell's draw count, least and greatest g0 and g1, and a copy of the
-draws sorted by cell (16 more bytes per kept draw). Each later counts-only
-job evaluates the rule at the corners of every cell's bounding box, counts
-each cell whose corners agree on every comparison as its draw count times
-the corners' outcome, and tallies only the other cells' draws (about 11% on
-the figure presets) on strips. Counts are integers, so the total is the
-strip path's exactly, and an owner returns it as one pooled tally. Rates
-jobs, counts-and-rates jobs, the first counts-only job on a key and keys
-that are not kept take the strip path. The index goes with the kept shards.
+draws sorted by cell (16 more bytes per kept draw). Each counts-only job on
+the index evaluates the rule at the corners of every cell's bounding box,
+counts each cell whose corners agree on every comparison as its draw count
+times the corners' outcome, and tallies only the other cells' draws (about
+11% on the figure presets) on strips. Counts are integers, so the total is
+the strip path's exactly, and an owner returns it as one pooled tally.
+Rates jobs, counts-and-rates jobs, the job that draws a key (so a one-off
+call builds no index) and keys that are not kept take the strip path. The
+index goes with the kept shards.
 
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
@@ -65,6 +66,7 @@ with no statistical noise on the differences.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import signal
@@ -330,6 +332,12 @@ def _worker_count(workers: int | None) -> int:
     return count
 
 
+def _check_sample_count(n_samples) -> None:
+    """Raise ParameterError unless n_samples is an integer of at least 1 (a bool is not a count)."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
+
+
 def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
     base, rem = divmod(n_samples, stream_count)
     return [base + (1 if i < rem else 0) for i in range(stream_count)]
@@ -407,15 +415,14 @@ def _grid_row(g: np.ndarray) -> np.ndarray:
 
 
 class _Kept:
-    """This process's shards of the last key it drew and, once a second counts job asks, their index."""
+    """This process's shards of the last key it drew and, once a counts job finds them, their index."""
 
-    __slots__ = ("mine", "shards", "counted", "index")
+    __slots__ = ("mine", "shards", "index")
 
     def __init__(self, mine: tuple[tuple[int, int, int], int, int],
                  shards: tuple[tuple[_Block, ...], ...]) -> None:
         self.mine = mine  # (key, first, step)
         self.shards = shards  # one tuple of read-only blocks per shard
-        self.counted = False  # whether a counts-only job has tallied these shards
         self.index: _GainIndex | None = None
 
 
@@ -462,35 +469,33 @@ def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[Sc
 def _own_tallies(job: _Job, first: int, step: int) -> list[PopulationTally]:
     """Tally shards first, first + step, ... of a job: one tally per shard, in shard order.
 
-    A counts-only job on indexed shards gets one tally of them all instead.
+    A counts-only job on kept shards gets one tally of them all instead.
     Owner k of W workers runs it with (k, W); a call with one worker runs it
     in the calling process with (0, 1). A key of at most _KEEP_MAX_DRAWS draws
     is drawn whole and its shards kept, read-only, for the jobs that repeat
     it; a new key releases the kept shards, and their index, before drawing.
-    The second counts-only job on kept shards indexes them (_GainIndex), and
-    it and every later one take their counts from the index. Whatever shards
-    a job tallies are the deterministic draw for its key, tallied block by
-    block, so every count and rate sum is the same either way.
+    A counts-only job that finds its key already kept indexes the shards
+    (_GainIndex) if no earlier one has, and takes its counts from the index;
+    the job that draws a key tallies it on strips, so a one-off call never
+    pays for an index. Whatever shards a job tallies are the deterministic
+    draw for its key, so every count and rate sum is the same either way.
     """
     global _kept
     params, key, schemes, with_rates, with_counts = job
     mine = (key, first, step)
     kept = _kept  # read once: another thread of this process may replace it
     if kept is not None and kept.mine == mine:
+        if with_counts and not with_rates:
+            if kept.index is None:
+                kept.index = _GainIndex(kept.shards)
+            return [kept.index.tally(params, schemes)]
         shards = kept.shards
     else:
-        kept = _kept = None  # release the old draws before drawing the new ones
+        _kept = None  # release the old draws before drawing the new ones
         shards = _shard_blocks(*key, first, step)
         if key[2] <= _KEEP_MAX_DRAWS:
             shards = tuple(_read_only(blocks) for blocks in shards)
-            kept = _kept = _Kept(mine, shards)
-    if kept is not None and with_counts and not with_rates:
-        index = kept.index
-        if index is None and kept.counted:
-            index = kept.index = _GainIndex(shards)
-        kept.counted = True
-        if index is not None:
-            return [index.tally(params, schemes)]
+            _kept = _Kept(mine, shards)
     return [_run_shard(params, blocks, schemes, with_rates, with_counts) for blocks in shards]
 
 
@@ -502,8 +507,7 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
 
     with_counts and with_rates pick the tally's products, as in tally_population.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    _check_sample_count(n_samples)
     nworkers = _worker_count(workers)
     job = (params, (sampler.seed, sampler.stream_count, n_samples), schemes, with_rates, with_counts)
     shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, nworkers)

@@ -24,14 +24,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import analytic
 from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
-from .estimator import Metric, _tally_products, _worker_count, estimate_from_tally, simulate_tally
+from .estimator import (_SECONDARY_SCHEMES, Metric, _check_sample_count, _tally_products,
+                        _worker_count, estimate_from_tally, simulate_tally)
 from .params import SystemParams, _as_float, _require_positive_finite, db_to_linear, derive_constants
 from .strategy import SchemeId
 
@@ -77,9 +77,7 @@ class SweepSpec:
             raise ParameterError("axis_values must be nonempty and strictly increasing")
         if not self.schemes or not self.metrics:
             raise ParameterError("schemes and metrics must be nonempty")
-        if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral)
-                or self.n_samples < 1):
-            raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
+        _check_sample_count(self.n_samples)
         SamplerConfig(seed=self.seed, stream_count=self.stream_count)  # validates both
         # the only check of the points themselves: run_sweep trusts every one
         for value in self.axis_values:
@@ -315,8 +313,6 @@ def _rate_axis() -> tuple[float, ...]:
     return tuple(round(0.2 * k, 10) for k in range(1, 21))
 
 
-_ALL_SECONDARY = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_SIC)
-
 # Figure presets. The outage and conditional-outage presets use target rates
 # with eps0*eps1 > 1 so the QoS-SIC/CSI-SIC outage floors are visible; the
 # throughput preset keeps the 1 BPCU default, and the target-rate preset pins
@@ -324,23 +320,23 @@ _ALL_SECONDARY = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_S
 _PRESET_BUILDERS = {
     "fig1a": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
                                fixed={"r0": 1.5, "r1": 1.5, "ratio": 1.0},
-                               schemes=_ALL_SECONDARY, metrics=(Metric.OUTAGE_TOTAL,)),
+                               schemes=_SECONDARY_SCHEMES, metrics=(Metric.OUTAGE_TOTAL,)),
     "fig1b": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
                                fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
-                               schemes=_ALL_SECONDARY, metrics=(Metric.OUTAGE_TOTAL,)),
+                               schemes=_SECONDARY_SCHEMES, metrics=(Metric.OUTAGE_TOTAL,)),
     # conditional sweep starts at 10 dB: with p0 = p1/10, the case-II event is
     # too rare below that for a desk-scale conditional estimate
     "fig2a": lambda: SweepSpec(axis="P1_DB", axis_values=tuple(float(v) for v in range(10, 41, 2)),
                                fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
-                               schemes=_ALL_SECONDARY,
+                               schemes=_SECONDARY_SCHEMES,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
     "fig2b": lambda: SweepSpec(axis="TARGET_RATE_R1", axis_values=_rate_axis(),
                                fixed={"r0": 1.0, "p0_db": 15.0, "p1_db": 20.0},
-                               schemes=_ALL_SECONDARY,
+                               schemes=_SECONDARY_SCHEMES,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
     "fig3": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
                               fixed={"r0": 1.0, "r1": 1.0, "ratio": 0.1},
-                              schemes=_ALL_SECONDARY,
+                              schemes=_SECONDARY_SCHEMES,
                               metrics=(Metric.THROUGHPUT_DELAY_LIMITED,)),
 }
 
@@ -355,7 +351,7 @@ def figure_preset(name: str, n_samples: int | None = None, seed: int | None = No
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}") from None
     updates: dict = {}
     if n_samples is not None:
-        updates["n_samples"] = int(n_samples)
+        updates["n_samples"] = n_samples
     if seed is not None:
-        updates["seed"] = int(seed)
+        updates["seed"] = seed
     return replace(spec, **updates)  # replace re-runs __post_init__, so overrides are validated

@@ -25,7 +25,6 @@ from crnoma import (
     rs_case_i_outage,
     rs_case_ii_outage,
     rs_case_iii_outage,
-    rs_high_snr,
     rs_total_outage,
     total_outage,
     total_outage_high_snr,
@@ -131,30 +130,6 @@ class TestRsOutage:
     @given(param_strategy)
     def test_probability_range_never_trips(self, params):
         assert 0.0 <= rs_total_outage(params) <= 1.0
-
-
-class TestHighSnr:
-    def test_headline_is_eta1(self):
-        params = SystemParams(p0=1000.0, p1=1000.0, r0_hat=1.0, r1_hat=1.0)
-        assert rs_high_snr(params).headline == pytest.approx(1e-3, rel=1e-12)
-
-    def test_exact_to_approx_ratio_at_40db(self):
-        params = make_params(40.0, 40.0, 1.0, 1.0)
-        ratio = rs_total_outage(params) / rs_high_snr(params).headline
-        assert 0.9 <= ratio <= 1.1
-
-    def test_second_order_terms_scale_as_inverse_square(self):
-        a = rs_high_snr(SystemParams(p0=100.0, p1=100.0, r0_hat=1.0, r1_hat=1.0))
-        b = rs_high_snr(SystemParams(p0=100.0, p1=200.0, r0_hat=1.0, r1_hat=1.0))
-        assert a.case_ii == pytest.approx(4.0 * b.case_ii, rel=1e-12)
-        assert a.case_iii == pytest.approx(4.0 * b.case_iii, rel=1e-12)
-
-    @pytest.mark.parametrize("r", [1.0, 2.0])  # r = 2 puts eps0*eps1 = 9 >= 1
-    def test_diversity_slope_is_minus_one(self, r):
-        dbs = np.arange(30.0, 40.01, 2.0)
-        pouts = [rs_total_outage(make_params(db, db, r, r)) for db in dbs]
-        slope = np.polyfit(dbs / 10.0, np.log10(pouts), 1)[0]
-        assert slope == pytest.approx(-1.0, abs=0.1)
 
 
 class TestBenchmarkOutage:

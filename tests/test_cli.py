@@ -177,6 +177,8 @@ class TestBoundaryErrors:
         ({"axis": "TARGET_RATE_R1", "fixed": {"r0": 1.0}}, "'p0_db', 'p1_db'"),
         ({"n_samples": 0}, "n_samples"),
         ({"n_samples": 1000.5}, "n_samples"),
+        ({"n_samples": 1000.0}, "n_samples"),
+        ({"n_samples": "100"}, "n_samples"),
         ({"stream_count": 0}, "stream_count"),
         ({"seed": 1.5}, "seed"),
         ({"fixed": {"r0": 1.0, "r1": 1.0, "ratio": "big"}}, "ratio"),

@@ -202,6 +202,13 @@ class TestConditionalAndThroughput:
         with pytest.raises(ValueError):
             estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 0, SamplerConfig(seed=1))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_samples", [True, 1000.0, 1000.5, "100", 0])
+    def test_rejects_a_sample_count_that_is_not_a_positive_integer(self, params_10db, n_samples,
+                                                                   workers):
+        with pytest.raises(ParameterError, match="^n_samples must be a positive integer, got "):
+            simulate_tally(params_10db, SamplerConfig(seed=1), n_samples, workers=workers)
+
 
 class TestVectorizedAgainstScalar:
     def test_tally_matches_scalar_path(self):
@@ -684,7 +691,7 @@ class TestGainIndex:
         sampler = SamplerConfig(seed=self.KEY[0], stream_count=self.KEY[1])
         expected = _reference_tally(params, *self.KEY, schemes, False)
         for workers in (1, 2, 3):
-            for _ in range(2):  # the second counts job on the key takes the index
+            for _ in range(2):  # a counts job that finds the key kept takes the index
                 assert simulate_tally(params, sampler, self.KEY[2], schemes,
                                       workers=workers) == expected
             assert estimator._kept.index is not None  # at one worker, in this process
@@ -707,41 +714,49 @@ class TestGainIndex:
             for axis in (0, 1):
                 assert np.count_nonzero(np.diff(test, axis=axis), axis=axis).max() <= 1
 
-    def test_index_is_built_on_the_second_counts_job_and_dropped_with_its_key(self, monkeypatch,
-                                                                              empty_kept_set):
-        builds = []
-        build = estimator._GainIndex
+    def test_a_counts_job_indexes_a_key_it_finds_kept(self, monkeypatch, empty_kept_set):
+        builds, strips = [], []
+        build, run_shard = estimator._GainIndex, estimator._run_shard
 
-        def counted(shards):
+        def counted_build(shards):
             builds.append(estimator._kept.mine)
             return build(shards)
 
-        monkeypatch.setattr(estimator, "_GainIndex", counted)
+        def counted_run_shard(*args):
+            strips.append(args)
+            return run_shard(*args)
+
+        monkeypatch.setattr(estimator, "_GainIndex", counted_build)
+        monkeypatch.setattr(estimator, "_run_shard", counted_run_shard)
         first, second = make_params(10.0, 10.0, 1.0, 1.0), make_params(12.0, 17.0, 1.0, 1.5)
         key, other = self.KEY, (51, 5, 30_011)
 
         def simulate(params, key, with_rates=False):
+            """Check the tally against the reference; return the path it took."""
+            expected = _reference_tally(params, *key, self.SCHEMES, with_rates)
+            strips.clear()
             got = simulate_tally(params, SamplerConfig(seed=key[0], stream_count=key[1]), key[2],
                                  self.SCHEMES, with_rates, workers=1)
-            assert got == _reference_tally(params, *key, self.SCHEMES, with_rates)
+            assert got == expected
+            return "strips" if strips else "index"
 
-        simulate(first, key, with_rates=True)  # a rates job draws and keeps the key
-        simulate(second, key)  # the first counts job on the key: a one-off builds nothing
+        assert simulate(first, key, with_rates=True) == "strips"  # a rates job draws the key
         assert builds == [] and estimator._kept.index is None
-        simulate(first, key)  # the second builds the index
+        assert simulate(second, key) == "index"  # the next counts job finds it kept: it indexes
         index = estimator._kept.index
         assert builds == [(key, 0, 1)] and index is not None
         for params in (second, first, second):
-            simulate(params, key)
-            simulate(params, key, with_rates=True)  # rates jobs keep the strip path, and the index
-        assert builds == [(key, 0, 1)] and estimator._kept.index is index
-        simulate(first, other)  # a new key drops the index with the kept shards
-        assert estimator._kept.mine[0] == other and estimator._kept.index is None
-        simulate(second, other)
+            assert simulate(params, key) == "index"
+            assert simulate(params, key, with_rates=True) == "strips"  # and the index stays
+        assert builds == [(key, 0, 1)] and estimator._kept.index is index  # built once
+        assert simulate(first, other) == "strips"  # a counts job that draws a key indexes nothing
+        assert estimator._kept.mine[0] == other and estimator._kept.index is None  # old one dropped
+        assert simulate(second, other) == "index"  # the next one indexes it
+        assert simulate(first, other) == "index"
         assert builds == [(key, 0, 1), (other, 0, 1)]
         monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", 30_010)  # keys above it are not kept
         for params in (first, second, first):
-            simulate(params, key)
+            assert simulate(params, key) == "strips"
         assert estimator._kept is None and len(builds) == 2
 
 

@@ -238,6 +238,12 @@ class TestPresets:
         assert spec.n_samples == 123
         assert spec.seed == 456
 
+    @pytest.mark.parametrize("override", [{"n_samples": 1000.5}, {"n_samples": True},
+                                          {"seed": 7.9}, {"seed": True}])
+    def test_overrides_are_checked_not_truncated(self, override):
+        with pytest.raises(ParameterError, match=f"^{next(iter(override))} must be "):
+            figure_preset("fig1a", **override)
+
     def test_fig2b_conditional_nondecreasing_analytic(self):
         spec = figure_preset("fig2b")
         # analytic rows only: drop the Monte Carlo engine for speed
@@ -266,6 +272,17 @@ class TestPresets:
 
 # the CSV digests the benchmark's figure-sweeps check compares against, read here only
 CSV_RECORD = Path(__file__).resolve().parents[1] / "bench" / "csv_sha256.json"
+
+
+def test_figure_sweeps_share_one_draw_key():
+    """Every preset, and the ergodic sweep on the fig3 axis, draws the key (seed, 16, 10^6).
+
+    So each process draws the gains once and keeps them for every later cell (see estimator).
+    """
+    specs = {name: figure_preset(name, seed=7) for name in PRESET_NAMES}
+    specs["fig3-ergodic"] = dataclasses.replace(specs["fig3"], metrics=(Metric.THROUGHPUT_ERGODIC,))
+    assert len(specs) == 6 and all(spec.engine == "BOTH" for spec in specs.values())
+    assert {(s.seed, s.stream_count, s.n_samples) for s in specs.values()} == {(7, 16, 10**6)}
 
 
 def test_figure_csv_bytes_match_the_record():

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +16,6 @@ from crnoma import (
     ChannelRealization,
     DerivedConstants,
     GainStream,
-    HighSnrApprox,
     Metric,
     OutageEstimate,
     ParameterError,
@@ -32,7 +32,6 @@ from crnoma import (
     derive_constants,
     evaluate_outcome,
     rs_decide,
-    rs_high_snr,
 )
 from crnoma.experiments import CellFailure
 
@@ -164,7 +163,6 @@ def _slotted_values() -> list:
     chan = ChannelRealization(g0=1.5, g1=0.5)
     return [
         analytic_report(SchemeId.QOS_SIC, params),
-        rs_high_snr(params),
         rs_decide(params, chan),
         derive_constants(params),
         chan,
@@ -179,7 +177,7 @@ class TestSlottedValueTypes:
 
     def test_every_type_is_covered(self):
         assert {type(v) for v in _slotted_values()} == {
-            AnalyticReport, HighSnrApprox, RsDecision, DerivedConstants, ChannelRealization,
+            AnalyticReport, RsDecision, DerivedConstants, ChannelRealization,
             OutageEstimate, SweepRow, CellFailure}
 
     @pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
@@ -275,6 +273,23 @@ class TestReproducibility:
         assert g0.tobytes() == (-np.log1p(-u[:, 0])).tobytes()  # bit for bit
         assert g1.tobytes() == (-np.log1p(-u[:, 1])).tobytes()
         assert g0.flags.c_contiguous and g1.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**53 + 1, 2**62 + 3, 2**63 - 1])
+    @pytest.mark.parametrize("stream", [0, 15])
+    def test_seeds_below_2_63_keep_their_draws(self, seed, stream):
+        # the Philox key numpy made of the list [seed, stream], exact below 2^63
+        u = np.random.Generator(np.random.Philox(key=[seed, stream])).random((1000, 2))
+        g0, g1 = GainStream(seed=seed, stream_index=stream).gains(1000)
+        assert g0.tobytes() == (-np.log1p(-u[:, 0])).tobytes()
+        assert g1.tobytes() == (-np.log1p(-u[:, 1])).tobytes()
+
+    def test_seeds_at_and_above_2_63_draw_apart(self):
+        # as a float64 key, 2^63 and 2^63 + 1 were one seed, and 2^64 - 1 warned on the cast
+        seeds = (2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {GainStream(seed=seed, stream_index=15).gains(1000)[0].tobytes() for seed in seeds}
+        assert len(draws) == len(seeds)
 
     def test_streams_differ(self):
         a0, _ = GainStream(seed=7, stream_index=0).gains(1000)

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .params import _as_count
 
-_MAX_SEED = 2**64
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not a count
+_MAX_SEED = 2**64  # a Philox key word holds 64 bits
 
 
 @dataclass(frozen=True)
@@ -31,10 +27,8 @@ class SamplerConfig:
     stream_count: int = 16
 
     def __post_init__(self) -> None:
-        if not _is_int(self.seed) or not 0 <= self.seed < _MAX_SEED:
-            raise ParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not _is_int(self.stream_count) or self.stream_count < 1:
-            raise ParameterError(f"stream_count must be a positive integer, got {self.stream_count!r}")
+        object.__setattr__(self, "seed", _as_count("seed", self.seed, 0, _MAX_SEED))
+        object.__setattr__(self, "stream_count", _as_count("stream_count", self.stream_count, 1))
 
 
 class GainStream:
@@ -44,11 +38,9 @@ class GainStream:
     """
 
     def __init__(self, seed: int, stream_index: int) -> None:
-        if not 0 <= stream_index < _MAX_SEED:
-            raise ParameterError(f"stream_index out of range: {stream_index!r}")
-        self.seed = seed
-        self.stream_index = stream_index
-        key = np.array([seed, stream_index], dtype=np.uint64)  # a list makes seeds >= 2^63 float64
+        self.seed = _as_count("seed", seed, 0, _MAX_SEED)
+        self.stream_index = _as_count("stream_index", stream_index, 0, _MAX_SEED)
+        key = np.array([self.seed, self.stream_index], dtype=np.uint64)  # a list makes seeds >= 2^63 float64
         self.rng = np.random.Generator(np.random.Philox(key=key))
 
     def gains(self, n: int) -> tuple[np.ndarray, np.ndarray]:

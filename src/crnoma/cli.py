@@ -16,7 +16,7 @@ from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
 from .estimator import Metric, estimate_batch
 from .experiments import PRESET_NAMES, figure_preset, load_spec, emit, render, run_sweep
-from .params import ChannelRealization, SystemParams, db_to_linear
+from .params import ChannelRealization, SystemParams, _as_count, db_to_linear
 from .quadrature import case_ii_outage_quadrature
 from .strategy import (SchemeId, benchmark_rate_nh_sic, benchmark_rate_qos_sic,
                        evaluate_outcome, rs_decide)
@@ -27,13 +27,9 @@ _SCHEME_TOKENS = {s.value: s for s in SchemeId}
 def _count(text: str) -> int:
     try:
         value = float(text)  # accepts 1e6
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a count: {text!r}") from None
-    if not value.is_integer():  # also refuses inf and nan
-        raise argparse.ArgumentTypeError(f"not a whole count: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return int(value)
+        return _as_count("samples", int(value) if value.is_integer() else value, 1)
+    except ValueError as exc:  # ParameterError is one
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:

@@ -66,8 +66,6 @@ with no statistical noise on the differences.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
 import signal
 import threading
@@ -79,7 +77,7 @@ import numpy as np
 
 from .channel import GainStream, SamplerConfig
 from .errors import InsufficientConditioningError, ParameterError, UnknownSchemeError
-from .params import SystemParams, derive_constants
+from .params import SystemParams, _as_count, derive_constants
 from .strategy import SchemeId, _Rule, _SchemeRule
 
 _BLOCK = 1 << 20  # realizations per vectorized block inside a shard
@@ -312,30 +310,17 @@ def _bernoulli_estimate(scheme: SchemeId, metric: Metric, successes: int, n: int
 
 
 def _worker_count(workers: int | None) -> int:
-    """Worker processes for the shards: the argument, else CRNOMA_WORKERS, else min(2, CPUs).
-
-    A count that is not an integer of at least 1 raises ParameterError naming its source.
-    """
-    if workers is None:
-        env = os.environ.get(_WORKERS_ENV)
-        if not env:
-            return min(2, os.cpu_count() or 1)
-        source, given, parse = _WORKERS_ENV, env, int
-    else:
-        source, given, parse = "workers", workers, operator.index
+    """Worker processes for the shards: the argument, else CRNOMA_WORKERS, else min(2, CPUs)."""
+    if workers is not None:
+        return _as_count("workers", workers, 1)
+    env = os.environ.get(_WORKERS_ENV)
+    if not env:
+        return min(2, os.cpu_count() or 1)
     try:
-        count = parse(given)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
-        raise ParameterError(f"{source} must be an integer of at least 1, got {given!r}")
-    return count
-
-
-def _check_sample_count(n_samples) -> None:
-    """Raise ParameterError unless n_samples is an integer of at least 1 (a bool is not a count)."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
-        raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
+        env = int(env)
+    except ValueError:
+        pass  # _as_count refuses the text itself
+    return _as_count(_WORKERS_ENV, env, 1)
 
 
 def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
@@ -507,7 +492,7 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
 
     with_counts and with_rates pick the tally's products, as in tally_population.
     """
-    _check_sample_count(n_samples)
+    n_samples = _as_count("n_samples", n_samples, 1)
     nworkers = _worker_count(workers)
     job = (params, (sampler.seed, sampler.stream_count, n_samples), schemes, with_rates, with_counts)
     shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, nworkers)
@@ -709,7 +694,7 @@ def estimate_batch(schemes: list[SchemeId], params: SystemParams, metrics: list[
     Output order matches the (scheme-major, metric-minor) input order.
     """
     if not schemes or not metrics:
-        raise ValueError("schemes and metrics must be nonempty")
+        raise ParameterError("schemes and metrics must be nonempty")
     tally_schemes = tuple(dict.fromkeys(schemes))
     with_counts, with_rates = _tally_products(metrics)
     tally = simulate_tally(params, sampler, n_samples, tally_schemes, with_rates, workers,

@@ -30,9 +30,10 @@ from pathlib import Path
 from . import analytic
 from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
-from .estimator import (_SECONDARY_SCHEMES, Metric, _check_sample_count, _tally_products,
-                        _worker_count, estimate_from_tally, simulate_tally)
-from .params import SystemParams, _as_float, _require_positive_finite, db_to_linear, derive_constants
+from .estimator import (_SECONDARY_SCHEMES, Metric, _tally_products, _worker_count,
+                        estimate_from_tally, simulate_tally)
+from .params import (SystemParams, _as_count, _as_float, _require_positive_finite, db_to_linear,
+                     derive_constants)
 from .strategy import SchemeId
 
 AXES = ("P1_DB", "TARGET_RATE_R1")
@@ -46,7 +47,13 @@ _ANALYTIC_SCHEMES = frozenset({SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC})
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One experiment axis with everything needed to reproduce it."""
+    """One experiment axis with everything needed to reproduce it.
+
+    However it is built, a spec converts each field once: axis_values to floats,
+    schemes and metrics (or their tokens, such as "rs") to SchemeId and Metric, and
+    counts to ints. So a spec built directly equals the one from_dict builds from the
+    same JSON. A bad value, a repeated scheme or metric, or a bad point raises ParameterError.
+    """
 
     axis: str
     axis_values: tuple[float, ...]
@@ -65,8 +72,19 @@ class SweepSpec:
             raise ParameterError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not isinstance(self.fixed, dict):
             raise ParameterError(f"fixed must be a mapping, got {self.fixed!r}")
-        # a copy, so later edits to the caller's dict cannot undo the checks below
-        object.__setattr__(self, "fixed", dict(self.fixed))
+        try:
+            converted = dict(axis_values=tuple(_as_float("axis_values", v) for v in self.axis_values),
+                             schemes=tuple(map(SchemeId, self.schemes)),
+                             metrics=tuple(map(Metric, self.metrics)))
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad sweep config: {exc}") from None
+        n_samples = _as_count("n_samples", self.n_samples, 1)
+        sampler = SamplerConfig(seed=self.seed, stream_count=self.stream_count)
+        # fixed is a copy, so later edits to the caller's dict cannot undo the checks below
+        converted.update(fixed=dict(self.fixed), n_samples=n_samples, seed=sampler.seed,
+                         stream_count=sampler.stream_count)
+        for name, value in converted.items():
+            object.__setattr__(self, name, value)
         missing = [k for k in _FIXED_KEYS[self.axis] if k not in self.fixed]
         if missing:
             raise ParameterError(f"fixed is missing {missing} for axis {self.axis}")
@@ -75,10 +93,12 @@ class SweepSpec:
             raise ParameterError(f"fixed has keys {unread} that axis {self.axis} does not read")
         if not self.axis_values or any(b <= a for a, b in zip(self.axis_values, self.axis_values[1:])):
             raise ParameterError("axis_values must be nonempty and strictly increasing")
-        if not self.schemes or not self.metrics:
-            raise ParameterError("schemes and metrics must be nonempty")
-        _check_sample_count(self.n_samples)
-        SamplerConfig(seed=self.seed, stream_count=self.stream_count)  # validates both
+        for name, items in (("schemes", self.schemes), ("metrics", self.metrics)):
+            if not items:
+                raise ParameterError("schemes and metrics must be nonempty")
+            repeats = list(dict.fromkeys(x.value for x in items if items.count(x) > 1))
+            if repeats:
+                raise ParameterError(f"{name} lists {repeats} more than once")
         # the only check of the points themselves: run_sweep trusts every one
         for value in self.axis_values:
             try:
@@ -112,13 +132,6 @@ class SweepSpec:
         missing = [k for k, needed in required.items() if needed and k not in d]
         if missing:
             raise ParameterError(f"sweep config is missing keys {missing}")
-        d = dict(d)
-        try:
-            d["axis_values"] = tuple(_as_float("axis_values", v) for v in d["axis_values"])
-            d["schemes"] = tuple(SchemeId(s) for s in d["schemes"])
-            d["metrics"] = tuple(Metric(m) for m in d["metrics"])
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"bad sweep config: {exc}") from None
         return cls(**d)
 
 
@@ -227,7 +240,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 
         if want_mc:
             try:
-                tally = simulate_tally(params, sampler, spec.n_samples, tuple(spec.schemes),
+                tally = simulate_tally(params, sampler, spec.n_samples, spec.schemes,
                                        with_rates=with_rates, workers=workers,
                                        with_counts=with_counts)
             except Exception as exc:
@@ -305,36 +318,29 @@ def parse_csv(text: str) -> list[dict]:
     return out
 
 
-def _snr_axis() -> tuple[float, ...]:
-    return tuple(float(v) for v in range(0, 41, 2))
-
-
-def _rate_axis() -> tuple[float, ...]:
-    return tuple(round(0.2 * k, 10) for k in range(1, 21))
-
-
 # Figure presets. The outage and conditional-outage presets use target rates
 # with eps0*eps1 > 1 so the QoS-SIC/CSI-SIC outage floors are visible; the
 # throughput preset keeps the 1 BPCU default, and the target-rate preset pins
 # r0 = 1, p0 = 15 dB, p1 = 20 dB.
 _PRESET_BUILDERS = {
-    "fig1a": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
+    "fig1a": lambda: SweepSpec(axis="P1_DB", axis_values=range(0, 41, 2),
                                fixed={"r0": 1.5, "r1": 1.5, "ratio": 1.0},
                                schemes=_SECONDARY_SCHEMES, metrics=(Metric.OUTAGE_TOTAL,)),
-    "fig1b": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
+    "fig1b": lambda: SweepSpec(axis="P1_DB", axis_values=range(0, 41, 2),
                                fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
                                schemes=_SECONDARY_SCHEMES, metrics=(Metric.OUTAGE_TOTAL,)),
     # conditional sweep starts at 10 dB: with p0 = p1/10, the case-II event is
     # too rare below that for a desk-scale conditional estimate
-    "fig2a": lambda: SweepSpec(axis="P1_DB", axis_values=tuple(float(v) for v in range(10, 41, 2)),
+    "fig2a": lambda: SweepSpec(axis="P1_DB", axis_values=range(10, 41, 2),
                                fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
                                schemes=_SECONDARY_SCHEMES,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
-    "fig2b": lambda: SweepSpec(axis="TARGET_RATE_R1", axis_values=_rate_axis(),
+    "fig2b": lambda: SweepSpec(axis="TARGET_RATE_R1",
+                               axis_values=[round(0.2 * k, 10) for k in range(1, 21)],
                                fixed={"r0": 1.0, "p0_db": 15.0, "p1_db": 20.0},
                                schemes=_SECONDARY_SCHEMES,
                                metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
-    "fig3": lambda: SweepSpec(axis="P1_DB", axis_values=_snr_axis(),
+    "fig3": lambda: SweepSpec(axis="P1_DB", axis_values=range(0, 41, 2),
                               fixed={"r0": 1.0, "r1": 1.0, "ratio": 0.1},
                               schemes=_SECONDARY_SCHEMES,
                               metrics=(Metric.THROUGHPUT_DELAY_LIMITED,)),

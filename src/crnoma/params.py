@@ -12,6 +12,7 @@ its derived constants once they are computed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,20 @@ def _as_float(name: str, value: float) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a number, got {value!r}") from None
+
+
+def _as_count(name: str, value: int, low: int, high: int | None = None) -> int:
+    """value as a plain int in [low, high) (high a power of two), or >= low without high.
+
+    The one check of every count: a numpy integer is converted, and a bool (JSON true),
+    a float, a string or any other non-integer raises ParameterError.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        count = int(value)
+        if count >= low and (high is None or count < high):
+            return count
+    span = f"of at least {low}" if high is None else f"in [{low}, 2^{high.bit_length() - 1})"
+    raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _require_positive_finite(name: str, value: float) -> float:

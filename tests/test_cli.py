@@ -161,12 +161,14 @@ class TestBoundaryErrors:
         SIM + ("--samples", "1e3"),
         ("figure", "fig1a", "--samples", "1000"),
     ], ids=["outage", "figure"])
-    @pytest.mark.parametrize("workers", ["0", "-2", "2.5"])
-    def test_worker_count_not_positive_integer(self, capsys, monkeypatch, command, workers):
+    # text that int() reads is shown as the integer, other text as itself
+    @pytest.mark.parametrize("workers, shown", [("0", "0"), ("-2", "-2"), ("2.5", "'2.5'")],
+                             ids=["0", "-2", "2.5"])
+    def test_worker_count_not_positive_integer(self, capsys, monkeypatch, command, workers, shown):
         monkeypatch.setenv("CRNOMA_WORKERS", workers)
         code, out, err = run_cli(capsys, *command)
         self.assert_one_error_line(code, out, err)
-        assert "CRNOMA_WORKERS" in err and repr(workers) in err
+        assert err == f"crnoma: error: CRNOMA_WORKERS must be an integer of at least 1, got {shown}\n"
 
     @pytest.mark.parametrize("change, needle", [
         ({"bogus": 1}, "bogus"),
@@ -201,6 +203,7 @@ class TestBoundaryErrors:
         ({"axis": "TARGET_RATE_R1", "fixed": {"r0": 1.0, "p0_db": 10.0, "p1_db": 10.0, "ratio": 0.25}},
          "fixed has keys ['ratio'] that axis TARGET_RATE_R1 does not read"),
         ({"fixed": {"r0": 1.0, "r1": 1.0}}, "fixed is missing ['ratio'] for axis P1_DB"),
+        ({"schemes": ["rs", "rs"]}, "schemes lists ['rs'] more than once"),
     ])
     def test_bad_sweep_config_is_one_stderr_line(self, capsys, tmp_path, change, needle):
         config = {

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -193,9 +194,10 @@ class TestConditionalAndThroughput:
                      1_000, SamplerConfig(seed=25))
 
     def test_rejects_empty_batch(self, params_10db):
-        with pytest.raises(ValueError):
+        # SweepSpec's wording and error type
+        with pytest.raises(ParameterError, match=r"^schemes and metrics must be nonempty$"):
             estimate_batch([], params_10db, [Metric.OUTAGE_TOTAL], 100, SamplerConfig(seed=1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match=r"^schemes and metrics must be nonempty$"):
             estimate_batch([SchemeId.RS], params_10db, [], 100, SamplerConfig(seed=1))
 
     def test_rejects_nonpositive_sample_count(self, params_10db):
@@ -206,7 +208,8 @@ class TestConditionalAndThroughput:
     @pytest.mark.parametrize("n_samples", [True, 1000.0, 1000.5, "100", 0])
     def test_rejects_a_sample_count_that_is_not_a_positive_integer(self, params_10db, n_samples,
                                                                    workers):
-        with pytest.raises(ParameterError, match="^n_samples must be a positive integer, got "):
+        message = f"n_samples must be an integer of at least 1, got {n_samples!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             simulate_tally(params_10db, SamplerConfig(seed=1), n_samples, workers=workers)
 
 
@@ -374,7 +377,7 @@ class TestStrips:
         assert rates_only.case_ii == rates_only.primary_outage == 0
         assert all(st.outage_total == 0 for st in rates_only.schemes.values())
 
-    def test_counts_without_rates_are_unsplit(self, gains, monkeypatch):
+    def test_counts_without_rates_run_on_strips(self, gains, monkeypatch):
         # counts run on strips too, and equal one count over the whole arrays
         params = make_params(12.0, 17.0, 1.0, 1.5)
         g0, g1 = gains[0][:100_003], gains[1][:100_003]
@@ -1048,10 +1051,13 @@ class TestWorkerCount:
         with pytest.raises(ParameterError, match="workers must be an integer"):
             estimator._worker_count(workers)
 
-    @pytest.mark.parametrize("env", ["0", "-2", "abc", "2.5"])
-    def test_bad_environment_raises(self, env, monkeypatch):
+    # text that int() reads is shown as the integer, other text as itself
+    @pytest.mark.parametrize("env, shown", [("0", "0"), ("-2", "-2"), ("abc", "'abc'"),
+                                            ("2.5", "'2.5'")], ids=["0", "-2", "abc", "2.5"])
+    def test_bad_environment_raises(self, env, shown, monkeypatch):
         monkeypatch.setenv("CRNOMA_WORKERS", env)
-        with pytest.raises(ParameterError, match=f"CRNOMA_WORKERS must be an integer.*{env!r}"):
+        message = f"CRNOMA_WORKERS must be an integer of at least 1, got {shown}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             estimator._worker_count(None)
 
     def test_good_counts(self, monkeypatch):

@@ -40,22 +40,14 @@ sets are drawn block by block on every call. Whatever shards a call
 tallies are the deterministic draw for its key, tallied in the same block
 and merge order, so every count and rate sum is bit-identical either way.
 
-Counts-only jobs on kept shards skip most draws. Every comparison in the
-rule (``_Rule.comparisons``) is monotone in g0 and in g1, so a rectangle of
-the gain plane whose four corners agree on every comparison holds no draw
-that disagrees: all its draws share one outcome. The first counts-only job
-that finds its key already kept indexes the kept shards (``_GainIndex``): a
-64 x 64 grid over the uniforms behind the gains, u = 1 - e^-g, with each
-nonempty cell's draw count, least and greatest g0 and g1, and a copy of the
-draws sorted by cell (16 more bytes per kept draw). Each counts-only job on
-the index evaluates the rule at the corners of every cell's bounding box,
-counts each cell whose corners agree on every comparison as its draw count
-times the corners' outcome, and tallies only the other cells' draws (about
-11% on the figure presets) on strips. Counts are integers, so the total is
-the strip path's exactly, and an owner returns it as one pooled tally.
-Rates jobs, counts-and-rates jobs, the job that draws a key (so a one-off
-call builds no index) and keys that are not kept take the strip path. The
-index goes with the kept shards.
+Counts-only jobs on kept shards skip most draws. The first one that finds
+its key kept bins the kept draws by cells of the gain plane (``_GainIndex``);
+each such job then evaluates the rule once, at the cells' corners, counts
+every cell whose corners agree on every comparison as its draw count times
+that outcome, and tallies only the other cells' draws (about 11% on the
+figure presets) on strips. Counts are integers, so the total is the strip
+path's exactly. Every other job, the one that draws a key included, takes
+the strip path.
 
 All schemes and metrics requested in one batch share the same realizations
 (common random numbers), so scheme comparisons are paired: the per-realization
@@ -196,8 +188,13 @@ def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     again, ~430 minor faults per counts-only block and ~1,460 with rates,
     while those of a strip are reused (0 faults). Every count and rate sum
     equals one evaluation over the whole arrays, provided numpy sums
-    pairwise as tests/test_estimator.py pins.
+    pairwise as tests/test_estimator.py pins. g0 and g1 must be 1-D arrays
+    of one length; any other shapes raise ParameterError.
     """
+    shapes = getattr(g0, "shape", None), getattr(g1, "shape", None)
+    if None in shapes or len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+        raise ParameterError(f"g0 and g1 must be 1-D arrays of one length, got shapes {shapes[0]} "
+                             f"and {shapes[1]}")
     return _tally_strips(params, g0, g1, schemes, with_counts, with_rates)
 
 
@@ -215,29 +212,28 @@ def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     """
     n = g0.size
     if n <= _STRIP:
-        return _tally(params, g0, g1, schemes, with_counts, with_rates)
+        rule = _rule(params, g0, g1, with_counts, with_rates)
+        return _tally(rule, n, schemes, rule.scheme, _count)
     half = n // 2 - n // 2 % 8
     left = _tally_strips(params, g0[:half], g1[:half], schemes, with_counts, with_rates)
     left.merge(_tally_strips(params, g0[half:], g1[half:], schemes, with_counts, with_rates))
     return left
 
 
-def _tally(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
-           schemes: tuple[SchemeId, ...], with_counts: bool, with_rates: bool,
-           weights: np.ndarray | None = None) -> PopulationTally:
-    """The rule's counts and sums over the arrays; weights[i] counts realization i that many times.
+def _rule(params: SystemParams, g0: np.ndarray, g1: np.ndarray, outages: bool, rates: bool) -> _Rule:
+    """The rule evaluated once on gain arrays, for _tally to count."""
+    return _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, outages, rates, np)
 
-    Weights serve counts alone: _GainIndex passes one realization per whole
-    cell, weighted by the cell's draws.
+
+def _tally(rule: _Rule, n: int, schemes: tuple[SchemeId, ...], own_of, count) -> PopulationTally:
+    """The counts and sums of one built rule over n realizations, each mask counted by count.
+
+    own_of(scheme) gives a scheme's rule: rule.scheme on strips, so that each
+    scheme's arrays are freed before the next scheme's are built.
     """
-    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, with_counts, with_rates, np)
-    if weights is None:
-        n, count = int(g0.size), _count
-    else:
-        n, count = int(weights.sum()), lambda mask: int(np.dot(weights, mask))
-    tally = PopulationTally(n=n, has_counts=with_counts, has_rates=with_rates)
+    tally = PopulationTally(n=n, has_counts=rule.outages, has_rates=rule.rates)
     shared = None
-    if with_counts:
+    if rule.outages:
         admitted = count(rule.admitted)
         tally.case_i = count(rule.case_i)
         tally.case_ii = admitted - tally.case_i
@@ -246,7 +242,7 @@ def _tally(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
         # the case-I and case-III outage tests that every admission scheme shares, counted once
         shared = (count(rule.fail_i), count(rule.fail_iii))
     for scheme in schemes:
-        tally.schemes[scheme] = _scheme_tally(rule, rule.scheme(scheme), shared, count)
+        tally.schemes[scheme] = _scheme_tally(rule, own_of(scheme), shared, count)
     return tally
 
 
@@ -255,8 +251,8 @@ def _count(mask: np.ndarray) -> int:
 
 
 def _scheme_tally(rule: _Rule, own: _SchemeRule | None, shared: tuple[int, int] | None,
-                  count=_count) -> SchemeTally:
-    """Counts and sums of one scheme; its arrays are freed before the next scheme's are built."""
+                  count) -> SchemeTally:
+    """Counts and sums of one scheme's rule (own), each mask counted by count."""
     st = SchemeTally()
     if own is None:
         return st
@@ -339,16 +335,16 @@ class _GainIndex:
 
     The cells are a fixed _GRID x _GRID grid over the uniforms behind the
     gains, u = 1 - e^-g, so each holds about as many draws as any other.
-    The index stores each nonempty cell's draw count, the least and greatest
-    g0 and g1 of its draws, and the draws themselves sorted by cell.
+    The index stores each nonempty cell's draw count, the four corners of
+    its draws' bounding box, and the draws sorted by cell (16 bytes each).
 
     Every comparison that _Rule.comparisons lists is monotone in g0 and in
-    g1. So where one agrees at the four corners of a cell's bounding box, it
-    takes the same value on every draw inside, and where all agree, every
-    outage test does too: such a cell is whole, and its draws count as its
-    corner's outcome times its draw count. Only the draws of the other,
-    mixed cells are tallied one by one. Counts are integers, so the tally
-    equals the strip path's, draw for draw.
+    g1. So where one agrees at the four corners of a cell, it takes the same
+    value on every draw inside, and where all agree, every outage test does
+    too: such a cell is whole, and its draws count as its corner's outcome.
+    tally evaluates the rule once, on every cell's corners, and again only on
+    the other, mixed cells' draws. Counts are integers, so the tally equals
+    the strip path's, draw for draw.
     """
 
     __slots__ = ("counts", "corners", "starts", "gains")
@@ -370,20 +366,21 @@ class _GainIndex:
         self.corners = (np.concatenate((low[0], low[0], high[0], high[0])),
                         np.concatenate((low[1], high[1], low[1], high[1])))
 
-    def whole(self, params: SystemParams, schemes: tuple[SchemeId, ...]) -> np.ndarray:
-        """Whether each nonempty cell is whole: its four corners agree on every comparison."""
-        g0, g1 = self.corners
-        rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, True, False, np)
-        tests = np.stack(rule.comparisons([rule.scheme(s) for s in schemes]))
-        tests = tests.reshape(len(tests), 4, self.counts.size)
-        return (tests.all(axis=1) == tests.any(axis=1)).all(axis=0)
-
     def tally(self, params: SystemParams, schemes: tuple[SchemeId, ...]) -> PopulationTally:
-        """The counts of tally_population over every indexed draw."""
-        whole = self.whole(params, schemes)
+        """The counts of tally_population over every indexed draw.
+
+        One evaluation of the rule at the corners finds the whole cells and
+        counts each by its (low, low) corner times its draw count.
+        """
         k = self.counts.size
-        total = _tally(params, self.corners[0][:k][whole], self.corners[1][:k][whole], schemes,
-                       True, False, weights=self.counts[whole])
+        rule = _rule(params, *self.corners, True, False)
+        owns = {scheme: rule.scheme(scheme) for scheme in schemes}
+        tests = np.stack(rule.comparisons(owns.values())).reshape(-1, 4, k)
+        whole = (tests.all(axis=1) == tests.any(axis=1)).all(axis=0)
+        weights = np.where(whole, self.counts, 0)
+        total = _tally(rule, int(weights.sum()), schemes, owns.__getitem__,
+                       lambda mask: int(weights.sum(where=mask[:k])))
+        del rule, owns, tests  # the corners' arrays go before the mixed draws' are built
         # the mixed cells' draws, one slice per run of adjacent mixed cells
         edges = self.starts[np.flatnonzero(np.diff(whole, prepend=True, append=True))].tolist()
         mixed = np.concatenate([self.gains[:, a:b] for a, b in zip(edges[::2], edges[1::2])]
@@ -400,15 +397,24 @@ def _grid_row(g: np.ndarray) -> np.ndarray:
 
 
 class _Kept:
-    """This process's shards of the last key it drew and, once a counts job finds them, their index."""
+    """This process's shards of the last key it drew, read-only, and their index once built."""
 
     __slots__ = ("mine", "shards", "index")
 
     def __init__(self, mine: tuple[tuple[int, int, int], int, int],
-                 shards: tuple[tuple[_Block, ...], ...]) -> None:
+                 shards: Iterable[Iterable[_Block]]) -> None:
         self.mine = mine  # (key, first, step)
-        self.shards = shards  # one tuple of read-only blocks per shard
+        self.shards = tuple(tuple(blocks) for blocks in shards)  # one tuple of blocks per shard
+        for blocks in self.shards:
+            for g0, g1 in blocks:
+                g0.flags.writeable = g1.flags.writeable = False  # so that no tally can change one
         self.index: _GainIndex | None = None
+
+    def indexed(self) -> _GainIndex:
+        """The kept shards' index, built by the first call."""
+        if self.index is None:
+            self.index = _GainIndex(self.shards)
+        return self.index
 
 
 # this process's shards of the last key it drew, when the key has at most _KEEP_MAX_DRAWS
@@ -435,14 +441,6 @@ def _shard_blocks(seed: int, stream_count: int, n_samples: int,
     return [_draw(GainStream(seed, i), sizes[i]) for i in range(first, len(sizes), step)]
 
 
-def _read_only(blocks: Iterable[_Block]) -> tuple[_Block, ...]:
-    """Draw a shard whole, read-only, so that no tally can change a kept block."""
-    blocks = tuple(blocks)
-    for g0, g1 in blocks:
-        g0.flags.writeable = g1.flags.writeable = False
-    return blocks
-
-
 def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[SchemeId, ...],
                with_rates: bool, with_counts: bool) -> PopulationTally:
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
@@ -454,16 +452,13 @@ def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[Sc
 def _own_tallies(job: _Job, first: int, step: int) -> list[PopulationTally]:
     """Tally shards first, first + step, ... of a job: one tally per shard, in shard order.
 
-    A counts-only job on kept shards gets one tally of them all instead.
     Owner k of W workers runs it with (k, W); a call with one worker runs it
-    in the calling process with (0, 1). A key of at most _KEEP_MAX_DRAWS draws
-    is drawn whole and its shards kept, read-only, for the jobs that repeat
-    it; a new key releases the kept shards, and their index, before drawing.
-    A counts-only job that finds its key already kept indexes the shards
-    (_GainIndex) if no earlier one has, and takes its counts from the index;
-    the job that draws a key tallies it on strips, so a one-off call never
-    pays for an index. Whatever shards a job tallies are the deterministic
-    draw for its key, so every count and rate sum is the same either way.
+    in the calling process with (0, 1). A job whose key is kept tallies the
+    kept shards, and a counts-only one takes one pooled tally from their
+    index instead. Any other job releases the kept shards, draws its own and
+    tallies them on strips, keeping them if the key has at most
+    _KEEP_MAX_DRAWS draws; so a one-off call never builds an index. Every
+    path gives the same counts and rate sums.
     """
     global _kept
     params, key, schemes, with_rates, with_counts = job
@@ -471,16 +466,14 @@ def _own_tallies(job: _Job, first: int, step: int) -> list[PopulationTally]:
     kept = _kept  # read once: another thread of this process may replace it
     if kept is not None and kept.mine == mine:
         if with_counts and not with_rates:
-            if kept.index is None:
-                kept.index = _GainIndex(kept.shards)
-            return [kept.index.tally(params, schemes)]
+            return [kept.indexed().tally(params, schemes)]
         shards = kept.shards
     else:
         _kept = None  # release the old draws before drawing the new ones
         shards = _shard_blocks(*key, first, step)
         if key[2] <= _KEEP_MAX_DRAWS:
-            shards = tuple(_read_only(blocks) for blocks in shards)
-            _kept = _Kept(mine, shards)
+            _kept = kept = _Kept(mine, shards)
+            shards = kept.shards
     return [_run_shard(params, blocks, schemes, with_rates, with_counts) for blocks in shards]
 
 
@@ -691,8 +684,14 @@ def estimate_batch(schemes: list[SchemeId], params: SystemParams, metrics: list[
                    workers: int | None = None) -> list[OutageEstimate]:
     """Estimate every (scheme, metric) pair from one shared realization stream.
 
-    Output order matches the (scheme-major, metric-minor) input order.
+    Output order matches the (scheme-major, metric-minor) input order. Each
+    scheme and metric may be given as its token, such as "rs" or
+    "outage-total"; an unknown one raises ParameterError.
     """
+    try:
+        schemes, metrics = list(map(SchemeId, schemes)), list(map(Metric, metrics))
+    except ValueError as exc:
+        raise ParameterError(f"bad batch: {exc}") from None
     if not schemes or not metrics:
         raise ParameterError("schemes and metrics must be nonempty")
     tally_schemes = tuple(dict.fromkeys(schemes))

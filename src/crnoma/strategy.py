@@ -188,9 +188,9 @@ class _Rule:
             x0_need = c.eps0 * (p1g1 + 1.0)
             outage, tests = None, ()
             if outages:
-                u1_second, x0_short = p1g1 < p0g0, p0g0 < x0_need
-                outage = (u1_first & self.first_fail) | (u1_second & (x0_short | self.last_fail))
-                tests = (u1_first, u1_second, x0_short)
+                x0_short = p0g0 < x0_need
+                outage = (u1_first & self.first_fail) | ((u1_first ^ True) & (x0_short | self.last_fail))
+                tests = (u1_first, x0_short)
             # U1 decoded second earns nothing unless x0 was decoded first
             rate = (ns.where(u1_first, self.first_rate, self.last_rate * (p0g0 >= x0_need))
                     if rates else None)

@@ -200,6 +200,21 @@ class TestConditionalAndThroughput:
         with pytest.raises(ParameterError, match=r"^schemes and metrics must be nonempty$"):
             estimate_batch([SchemeId.RS], params_10db, [], 100, SamplerConfig(seed=1))
 
+    def test_takes_tokens_and_names_a_bad_one(self, params_10db):
+        # converted once at the boundary, as SweepSpec converts them
+        sampler = SamplerConfig(seed=1)
+        assert (estimate_batch(["rs", "csi-sic"], params_10db, ["outage-total", "admission"], 1000,
+                               sampler, workers=1)
+                == estimate_batch([SchemeId.RS, SchemeId.CSI_SIC], params_10db,
+                                  [Metric.OUTAGE_TOTAL, Metric.ADMISSION], 1000, sampler, workers=1))
+        assert (estimate("qos-sic", params_10db, "throughput-ergodic", 1000, sampler, workers=1)
+                == estimate(SchemeId.QOS_SIC, params_10db, Metric.THROUGHPUT_ERGODIC, 1000, sampler,
+                            workers=1))
+        for schemes, metrics, bad in ((["rs", "rx"], ["outage-total"], "'rx' is not a valid SchemeId"),
+                                      (["rs"], ["outage-totl"], "'outage-totl' is not a valid Metric")):
+            with pytest.raises(ParameterError, match=f"^bad batch: {bad}$"):
+                estimate_batch(schemes, params_10db, metrics, 1000, sampler, workers=1)
+
     def test_rejects_nonpositive_sample_count(self, params_10db):
         with pytest.raises(ValueError):
             estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 0, SamplerConfig(seed=1))
@@ -377,15 +392,28 @@ class TestStrips:
         assert rates_only.case_ii == rates_only.primary_outage == 0
         assert all(st.outage_total == 0 for st in rates_only.schemes.values())
 
+    @pytest.mark.parametrize("n0, n1", [(10, 1), (20_000, 1), (1, 10), ((3, 4), (3, 4)),
+                                        ((3, 4), 12), ((), ())])
+    def test_refuses_gains_of_other_shapes(self, n0, n1):
+        # g1 would be broadcast against g0, or a 2-D pair sliced by rows on strips
+        g0, g1 = np.ones(n0), np.ones(n1)
+        message = f"g0 and g1 must be 1-D arrays of one length, got shapes {g0.shape} and {g1.shape}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            tally_population(make_params(10.0, 10.0, 1.0, 1.0), g0, g1)
+        with pytest.raises(ParameterError, match=r"got shapes None and \(1,\)$"):  # not an array
+            tally_population(make_params(10.0, 10.0, 1.0, 1.0), [1.0], np.ones(1))
+        gains = np.ones((7, 2))  # a strided 1-D view is fine
+        assert tally_population(make_params(10.0, 10.0, 1.0, 1.0), gains[:, 0], gains[:, 1]).n == 7
+
     def test_counts_without_rates_run_on_strips(self, gains, monkeypatch):
         # counts run on strips too, and equal one count over the whole arrays
         params = make_params(12.0, 17.0, 1.0, 1.5)
         g0, g1 = gains[0][:100_003], gains[1][:100_003]
         sizes, tally = [], estimator._tally
 
-        def spy(params, g0, *args):
-            sizes.append(g0.size)
-            return tally(params, g0, *args)
+        def spy(rule, n, *args):
+            sizes.append(n)
+            return tally(rule, n, *args)
 
         monkeypatch.setattr(estimator, "_tally", spy)
         assert (tally_population(params, g0, g1, tuple(SECONDARY))
@@ -646,6 +674,15 @@ _any_schemes = st.sets(st.sampled_from(list(SchemeId)), min_size=1).map(
     lambda chosen: tuple(s for s in SchemeId if s in chosen))
 
 
+def _threshold_gains(params, seed):
+    """Sorted gains about every threshold the rule has in g0 or g1 alone, and random ones."""
+    c = derive_constants(params)
+    thresholds = np.array([c.eps0 / params.p0, c.eps1 / params.p1, *EDGE_GAINS])
+    g = np.concatenate([thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, np.inf),
+                        np.random.default_rng(seed).exponential(1.0, 60)])
+    return np.sort(g[np.isfinite(g)])
+
+
 def _index_gains(side):
     """Gains to index: random ones with the boundary grid, or the grid with only its neighbours
     above (side 1) or below (side -1), so that every tie is a corner of its cell."""
@@ -681,12 +718,28 @@ class TestGainIndex:
         assert got == expected
         assert all(type(v) is int for v in _counts(got).values())
 
-    def test_index_takes_whole_cells(self):
-        # the index is only worth its name if most draws skip the rule
+    def test_index_takes_whole_cells(self, monkeypatch):
+        # the index is only worth its name if most draws skip the rule: it runs once on the
+        # cells' corners, then tally_population runs it on the mixed cells' draws alone
         index = estimator._GainIndex((_index_gains(0),))
-        whole = index.whole(make_params(10.0, 10.0, 1.0, 1.0), self.SCHEMES)
-        assert index.counts[whole].sum() > 0.7 * index.counts.sum()
         assert index.counts.sum() == index.gains.shape[1] == 30_000 + 36 ** 2
+        rules, mixed = [], []
+        rule, tally = estimator._rule, estimator.tally_population
+
+        def counted_rule(params, g0, *args):
+            rules.append(g0.size)
+            return rule(params, g0, *args)
+
+        def counted_tally(params, g0, *args, **kwargs):
+            mixed.append((g0.size, len(rules)))
+            return tally(params, g0, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "_rule", counted_rule)
+        monkeypatch.setattr(estimator, "tally_population", counted_tally)
+        index.tally(make_params(10.0, 10.0, 1.0, 1.0), self.SCHEMES)
+        [(size, rules_before)] = mixed
+        assert rules_before == 1 and rules[0] == 4 * index.counts.size  # once, on the corners
+        assert size < 0.3 * index.counts.sum()
 
     @settings(max_examples=12, deadline=None)
     @given(params=_any_params(), schemes=_any_schemes)
@@ -702,20 +755,32 @@ class TestGainIndex:
     @settings(max_examples=100, deadline=None)
     @given(params=_any_params(), seed=st.integers(0, 2**32))
     def test_each_comparison_changes_at_most_once_along_each_gain(self, params, seed):
-        c = derive_constants(params)
-        # gains about every threshold the rule has in g0 or g1 alone, and random ones
-        thresholds = np.array([c.eps0 / params.p0, c.eps1 / params.p1, *EDGE_GAINS])
-        g = np.concatenate([thresholds, np.nextafter(thresholds, 0.0),
-                            np.nextafter(thresholds, np.inf),
-                            np.random.default_rng(seed).exponential(1.0, 60)])
-        g = np.sort(g[np.isfinite(g)])
+        g = _threshold_gains(params, seed)
         g0, g1 = np.meshgrid(g, g, indexing="ij")  # g0 along axis 0, g1 along axis 1
-        rule = _Rule(c, params.p0 * g0, params.p1 * g1, True, False, np)
-        tests = rule.comparisons([rule.scheme(s) for s in self.SCHEMES])
-        assert len(tests) == 5 + 1 + 1 + 3  # the rule's, RS's, NH-SIC's and CSI-SIC's
+        tests = self.comparisons(params, params.p0 * g0, params.p1 * g1)
+        assert len(tests) == 5 + 1 + 1 + 2  # the rule's, RS's, NH-SIC's and CSI-SIC's
         for test in tests:
             for axis in (0, 1):
                 assert np.count_nonzero(np.diff(test, axis=axis), axis=axis).max() <= 1
+
+    @pytest.mark.parametrize("point", TestBoundaries.POINTS + [(10.0, 100.0, 1.5, 1.5)])
+    def test_no_comparison_is_the_complement_of_another(self, point):
+        # a complement decides nothing that its comparison does not, so listing it only makes
+        # the corner stack taller; p0g0 = eps0 and a tiny p1g1 are the ties that part
+        # admission from primary outage, and the case-I budget test from CSI-SIC's x0 test
+        params = SystemParams(*point)
+        g = _threshold_gains(params, 0)
+        p0g0, p1g1 = np.meshgrid(np.append(params.p0 * g, derive_constants(params).eps0),
+                                 np.append(params.p1 * g, 1e-300), indexing="ij")
+        tests = self.comparisons(params, p0g0, p1g1)
+        for i, test in enumerate(tests):
+            for other in tests[:i]:
+                assert not np.array_equal(test, other ^ True)
+
+    def comparisons(self, params, p0g0, p1g1):
+        """The comparisons of the rule and every scheme at the given received powers."""
+        rule = _Rule(derive_constants(params), p0g0, p1g1, True, False, np)
+        return rule.comparisons([rule.scheme(s) for s in self.SCHEMES])
 
     def test_a_counts_job_indexes_a_key_it_finds_kept(self, monkeypatch, empty_kept_set):
         builds, strips = [], []

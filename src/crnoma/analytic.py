@@ -25,6 +25,8 @@ and one function, ``_case_ii_raw``, picks each scheme's case-II strips.
 
 Probabilities are clamped to [0, 1] only after checking the raw value lies in
 [-1e-9, 1 + 1e-9]; a worse violation raises instead of hiding a broken formula.
+A strip term (or the QoS-SIC floor) that divides by an underflowed zero or
+overflows math.exp, as at p0 = 1e300 with p1 = 1e-300, raises ParameterError.
 Where the admission probability underflows (eta0 above ~708), the conditional
 outage drops the factor exp(-eta0) that it shares with every case-II term.
 
@@ -35,6 +37,7 @@ frozen, slotted dataclass.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,10 +56,36 @@ def _token(scheme: SchemeId) -> object:
     return getattr(scheme, "value", scheme)
 
 
-def _as_probability(raw: float, what: str) -> float:
+def _as_probability(raw: float, what: str, scheme: SchemeId | None = None) -> float:
+    """raw checked and clamped to [0, 1]; what, with scheme's token in brackets, names it in an error.
+
+    Nearly every value lies strictly inside (0, 1) and is returned after one
+    comparison; the label is formatted only when the check raises. -0.0
+    returns +0.0.
+    """
+    if 0.0 < raw < 1.0:
+        return raw
     if not math.isfinite(raw) or raw < -_RANGE_SLACK or raw > 1.0 + _RANGE_SLACK:
-        raise ProbabilityRangeError(f"{what} evaluated to {raw!r}, outside [0, 1]")
+        label = what if scheme is None else f"{what}[{scheme.value}]"
+        raise ProbabilityRangeError(f"{label} evaluated to {raw!r}, outside [0, 1]")
     return min(1.0, max(0.0, raw))
+
+
+def _in_float_range(term):
+    """term, with a float overflow or a zero divisor inside it raised as one ParameterError.
+
+    Accepted powers can leave the float range: at p0 = 1e300, p1 = 1e-300,
+    p1*eta0 underflows to 0 in the admission strip, and at other corners an
+    exponent overflows math.exp.
+    """
+    @functools.wraps(term)
+    def checked(*args):
+        try:
+            return term(*args)
+        except ArithmeticError as exc:
+            raise ParameterError(f"closed forms leave the float range at these powers and rates "
+                                 f"({exc} in {term.__name__})") from None
+    return checked
 
 
 def _scaled_strip(log_scale: float, nu: float, lo: float, hi: float | None) -> float:
@@ -86,18 +115,21 @@ def _strip_end(c: DerivedConstants) -> float:
     return c.eta0 * (1.0 + c.eps1)
 
 
+@_in_float_range
 def _admission_strip(params: SystemParams, c: DerivedConstants, hi: float | None,
                      shift: float = 0.0) -> float:
     """exp(1/p1) * J(1/(p1*eta0); eta0, hi): admitted with p1*g1 above tau, every scheme."""
     return _scaled_strip(1.0 / params.p1 + shift, 1.0 / (params.p1 * c.eta0), c.eta0, hi)
 
 
+@_in_float_range
 def _first_clear_strip(params: SystemParams, c: DerivedConstants, hi: float | None,
                        shift: float = 0.0) -> float:
     """exp(-eta1) * J(p0*eta1; eta0, hi): U1 clears eps1 decoded before x0."""
     return _scaled_strip(-c.eta1 + shift, params.p0 * c.eta1, c.eta0, hi)
 
 
+@_in_float_range
 def _rs_crossing_strip(params: SystemParams, c: DerivedConstants, hi: float,
                        shift: float = 0.0) -> float:
     """exp(-(eps0+eps1+eps0*eps1)/p1) * J(-p0/p1; eta0, hi), the strip RS's case-II rate clears."""
@@ -132,7 +164,7 @@ def _case_ii_raw(scheme: SchemeId, params: SystemParams, c: DerivedConstants,
 def case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
     """P{case II, secondary outage} of RS, NH-SIC or QoS-SIC."""
     return _as_probability(_case_ii_raw(scheme, params, derive_constants(params)),
-                           f"case_ii_outage[{scheme.value}]")
+                           "case_ii_outage", scheme)
 
 
 def rs_case_ii_outage(params: SystemParams) -> float:
@@ -186,6 +218,7 @@ def qos_sic_case_ii_outage(params: SystemParams) -> float:
     return case_ii_outage(SchemeId.QOS_SIC, params)
 
 
+@_in_float_range
 def qos_sic_outage_floor(params: SystemParams) -> float:
     """Transmit-SNR-independent limit of the QoS-SIC case-II outage.
 
@@ -259,7 +292,7 @@ def total_outage(scheme: SchemeId, params: SystemParams) -> float:
         return rs_total_outage(params)
     if scheme is _NH_SIC or scheme is _QOS_SIC:
         raw = rs_case_i_outage(params) + case_ii_outage(scheme, params) + rs_case_iii_outage(params)
-        return _as_probability(raw, f"total_outage[{scheme.value}]")
+        return _as_probability(raw, "total_outage", scheme)
     raise UnknownSchemeError(f"no closed-form total outage for {_token(scheme)}")
 
 
@@ -309,6 +342,6 @@ def analytic_report(scheme: SchemeId, params: SystemParams) -> AnalyticReport:
     if scheme is _RS:
         total = rs_total_outage(params)
     else:
-        total = _as_probability(case_i + case_ii + case_iii, f"total_outage[{scheme.value}]")
+        total = _as_probability(case_i + case_ii + case_iii, "total_outage", scheme)
     return AnalyticReport(scheme, case_i, case_ii, case_iii, total,
                           total_outage_high_snr(scheme, params))

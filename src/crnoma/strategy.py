@@ -27,11 +27,13 @@ The rule is written once, in ``_Rule``, from comparisons, arithmetic, ``&``,
 the caller supplies. The scalar functions below pass floats with a namespace of
 Python builtins; ``estimator.tally_population`` passes gain arrays with numpy.
 Both therefore evaluate the same expressions realization by realization.
-The rule has two products, the outage tests and the achieved rates, and a
-caller builds only those it reads: ``evaluate_outcome`` and ``rs_decide``
-build both (OMA_PRIMARY only the outages), the baseline rate functions only
-the rates, and a tally whichever its metrics need. Their results,
-``RsDecision`` and ``TransmissionOutcome``, are frozen, slotted dataclasses.
+The rule has two products, the outage tests and the achieved rates. The
+scalar callers (``evaluate_outcome``, ``rs_decide`` and the baseline rates)
+share one rule per realization: ``_scalar_rule`` builds both products and
+keeps the last rule with the ``params`` and ``chan`` objects it was built
+from, so the five schemes of one realization build it once. A tally builds
+whichever products its metrics need. The results, ``RsDecision`` and
+``TransmissionOutcome``, are frozen, slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from types import SimpleNamespace
 from typing import Any
 
 from .params import ChannelRealization, DerivedConstants, SystemParams, derive_constants
-from .errors import UnknownSchemeError
+from .errors import ParameterError, UnknownSchemeError
 
 
 class SchemeId(Enum):
@@ -122,8 +124,10 @@ class _Rule:
     """The per-realization rule, for floats (ns = _SCALAR) or gain arrays (ns = numpy).
 
     p0g0 = p0*g0 and p1g1 = p1*g1. The rule has two products, outage tests
-    and achieved rates, and construction builds only those asked for. Both
-    read the admission and case-I/II masks. The outage tests add primary
+    and achieved rates, and construction builds only those asked for: the
+    one rule that scalar callers share per realization has both, a tally
+    over gain arrays those its metrics need. Both products read the
+    admission and case-I/II masks. The outage tests add primary
     outage, the two decode orders' tests, and the case-I and case-III tests
     that RS, NH-SIC and QoS-SIC share; the rates add the rates. scheme()
     applies one scheme's rule on top, so an array caller can consume one
@@ -253,9 +257,30 @@ class _Rule:
         return _CASE_I if self.case_i else _CASE_III
 
 
-def _scalar_rule(params: SystemParams, chan: ChannelRealization, outages: bool, rates: bool) -> _Rule:
-    return _Rule(derive_constants(params), params.p0 * chan.g0, params.p1 * chan.g1,
-                 outages, rates, _SCALAR)
+# (params, chan, rule) of the last scalar rule built: one entry, replaced whole by the next
+# build, so a thread reads either the old entry or the new one
+_last_rule: tuple | None = None
+
+
+def _scalar_rule(params: SystemParams, chan: ChannelRealization) -> _Rule:
+    """The rule of one realization, with both products.
+
+    The last rule built is returned again while the same params and chan
+    objects (tested with is) come back, so evaluate_outcome over every
+    scheme and rs_decide share one. The memo holds those two objects, so
+    neither can be freed and its id reused while the rule is kept.
+    """
+    global _last_rule
+    last = _last_rule
+    if last is not None and last[0] is params and last[1] is chan:
+        return last[2]
+    c = derive_constants(params)
+    p0g0, p1g1 = params.p0 * chan.g0, params.p1 * chan.g1
+    if not (math.isfinite(p0g0) and math.isfinite(p1g1)):
+        raise ParameterError(f"received SNRs p0*g0 = {p0g0!r} and p1*g1 = {p1g1!r} must be finite")
+    rule = _Rule(c, p0g0, p1g1, True, True, _SCALAR)
+    _last_rule = (params, chan, rule)
+    return rule
 
 
 def received_sinrs(params: SystemParams, chan: ChannelRealization, alpha: float) -> tuple[float, float, float]:
@@ -282,12 +307,12 @@ def rs_decide(params: SystemParams, chan: ChannelRealization) -> RsDecision:
     primary SINR is exactly eps0; the case-II rates use that identity
     instead of round-tripping through alpha.
     """
-    rule = _scalar_rule(params, chan, True, True)
+    rule = _scalar_rule(params, chan)
     case = rule.case_label()
     rs = rule.scheme(_RS)
     # fields in order: case_label, alpha, tau, r11, r12, r1_total, transmits
     if case is _CASE_II:
-        return RsDecision(case, 1.0 - rule.tau / (params.p1 * chan.g1), rule.tau,
+        return RsDecision(case, 1.0 - rule.tau / rule.p1g1, rule.tau,
                           rule.x11_rate, rule.x12_rate, rs.case_ii_rate, not rs.outage)
     if case is _CASE_III:
         return RsDecision(case, 1.0, rule.tau, rs.rate, 0.0, rs.rate, True)
@@ -296,12 +321,12 @@ def rs_decide(params: SystemParams, chan: ChannelRealization) -> RsDecision:
 
 def benchmark_rate_qos_sic(params: SystemParams, chan: ChannelRealization) -> float:
     """Case-II rate of the QoS-ordered baseline: U1 decoded first, U0's signal as noise."""
-    return _scalar_rule(params, chan, False, True).scheme(_QOS_SIC).case_ii_rate
+    return _scalar_rule(params, chan).scheme(_QOS_SIC).case_ii_rate
 
 
 def benchmark_rate_nh_sic(params: SystemParams, chan: ChannelRealization) -> float:
     """Case-II rate of the hybrid baseline: better of decode-first and power-backoff."""
-    return _scalar_rule(params, chan, False, True).scheme(_NH_SIC).case_ii_rate
+    return _scalar_rule(params, chan).scheme(_NH_SIC).case_ii_rate
 
 
 def evaluate_outcome(scheme: SchemeId, params: SystemParams, chan: ChannelRealization) -> TransmissionOutcome:
@@ -310,8 +335,7 @@ def evaluate_outcome(scheme: SchemeId, params: SystemParams, chan: ChannelRealiz
     Primary outage is the orthogonal-access condition g0 < eta0 for every
     scheme; that is the admission contract the secondary schemes preserve.
     """
-    # OMA_PRIMARY reads only primary_outage, so its rule skips the rates
-    rule = _scalar_rule(params, chan, True, scheme is not _OMA_PRIMARY)
+    rule = _scalar_rule(params, chan)
     own = rule.scheme(scheme)
     # positional arguments, in field order: keywords cost 1.21 us a call against 0.75 us
     if own is None:

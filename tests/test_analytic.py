@@ -1,5 +1,8 @@
+import itertools
 import math
 import sys
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,8 +32,8 @@ from crnoma import (
     total_outage,
     total_outage_high_snr,
 )
-from crnoma import analytic
-from crnoma.analytic import _case_ii_raw, _scaled_strip
+from crnoma import ParameterError, ProbabilityRangeError, analytic
+from crnoma.analytic import _as_probability, _case_ii_raw, _scaled_strip
 from crnoma.selftest import parameter_grid
 
 from conftest import make_params
@@ -314,10 +317,89 @@ class TestThroughputAndReport:
             total_outage(SchemeId.CSI_SIC, make_params(10.0, 10.0, 1.0, 1.0))
 
 
+CLOSED_FORM = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC)
+TINY = math.nextafter(0.0, 1.0)  # the smallest subnormal
+
+
+class TestAsProbability:
+    """One comparison passes a value inside (0, 1); everything else is checked and clamped as before."""
+
+    @pytest.mark.parametrize("raw, expected", [
+        (0.5, 0.5),
+        (0.0, 0.0),
+        (-0.0, 0.0),
+        (1.0, 1.0),
+        (TINY, TINY),
+        (sys.float_info.min / 4.0, sys.float_info.min / 4.0),
+        (-TINY, 0.0),
+        (math.nextafter(1.0, 0.0), math.nextafter(1.0, 0.0)),
+        (math.nextafter(1.0, 2.0), 1.0),
+        (-analytic._RANGE_SLACK, 0.0),
+        (1.0 + analytic._RANGE_SLACK, 1.0),
+    ], ids=["half", "zero", "minus-zero", "one", "tiny", "subnormal", "minus-tiny", "below-one",
+            "above-one", "low-slack-edge", "high-slack-edge"])
+    def test_accepted_values(self, raw, expected):
+        got = _as_probability(raw, "x")
+        assert got == expected and type(got) is float
+        assert math.copysign(1.0, got) == 1.0  # -0.0 and -TINY come back as +0.0
+
+    @pytest.mark.parametrize("raw", [
+        math.nextafter(-analytic._RANGE_SLACK, -1.0),
+        math.nextafter(1.0 + analytic._RANGE_SLACK, 2.0),
+        math.nan, math.inf, -math.inf,
+    ], ids=["below-low-edge", "above-high-edge", "nan", "inf", "minus-inf"])
+    def test_refused_values_keep_their_messages(self, raw):
+        with pytest.raises(ProbabilityRangeError) as exc:
+            _as_probability(raw, "total_outage", SchemeId.NH_SIC)
+        assert str(exc.value) == f"total_outage[nh-sic] evaluated to {raw!r}, outside [0, 1]"
+        with pytest.raises(ProbabilityRangeError) as exc:
+            _as_probability(raw, "rs_total_outage")
+        assert str(exc.value) == f"rs_total_outage evaluated to {raw!r}, outside [0, 1]"
+
+
+class TestFloatRange:
+    """Powers that SystemParams accepts but that take a closed form out of the float range."""
+
+    POWERS = tuple(10.0 ** e for e in range(-300, 301, 60))
+    RATES = (1e-6, 0.5, 1.0, 8.0, 50.0)
+    SCHEME_FORMS = (analytic_report, case_ii_outage, total_outage, total_outage_high_snr,
+                    conditional_case_ii_outage, delay_limited_throughput)
+    FORMS = (rs_case_i_outage, rs_case_iii_outage, rs_total_outage, case_ii_outage_gap,
+             qos_sic_outage_floor, admission_probability, primary_outage_probability)
+
+    def test_only_package_errors_escape(self):
+        raised = Counter()
+        for p0, p1, r0, r1 in itertools.product(self.POWERS, self.POWERS, self.RATES, self.RATES):
+            params = SystemParams(p0=p0, p1=p1, r0_hat=r0, r1_hat=r1)
+            calls = [partial(f, scheme) for f in self.SCHEME_FORMS for scheme in CLOSED_FORM]
+            for call in calls + list(self.FORMS):
+                try:
+                    call(params)
+                except (ParameterError, ProbabilityRangeError) as exc:
+                    raised[type(exc)] += 1
+        # zero divisors and exp overflows used to escape as ZeroDivisionError and OverflowError
+        assert raised[ParameterError] > 0 and raised[ProbabilityRangeError] > 0
+
+    @pytest.mark.parametrize("params, cause", [
+        (SystemParams(p0=1e-30, p1=1e-100, r0_hat=1e-6, r1_hat=1e-6), "math range error"),
+        (SystemParams(p0=1e300, p1=1e-300, r0_hat=1.0, r1_hat=1.0), "float division by zero"),
+    ], ids=["exp-overflow", "zero-divisor"])
+    @pytest.mark.parametrize("scheme", CLOSED_FORM)
+    def test_strip_out_of_range_is_one_parameter_error(self, params, cause, scheme):
+        with pytest.raises(ParameterError) as exc:
+            analytic_report(scheme, params)
+        assert str(exc.value) == ("closed forms leave the float range at these powers and rates "
+                                  f"({cause} in _admission_strip)")
+
+    def test_floor_with_underflowed_divisor(self):
+        params = SystemParams(p0=1e-300, p1=1e-300, r0_hat=8.0, r1_hat=8.0)
+        with pytest.raises(ParameterError, match=r"\(float division by zero in qos_sic_outage_floor\)"):
+            qos_sic_outage_floor(params)
+
+
 # the point-eval benchmark grid: every power in 5 dB steps, every rate pair
 POINT_POWERS_DB = tuple(float(v) for v in range(-20, 61, 5))
 POINT_RATES = (0.25, 1.0, 2.0, 4.0)
-CLOSED_FORM = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC)
 
 
 def _value_or_error(f, *args):
@@ -330,11 +412,17 @@ def _value_or_error(f, *args):
 class TestReportMatchesStandaloneForms:
     """analytic_report computes each term once; every field is the standalone form's value."""
 
-    # the default slack, and one that makes ~half the grid's terms raise, so the
-    # report's error order is checked against the standalone forms too
-    @pytest.mark.parametrize("slack", [analytic._RANGE_SLACK, -0.01], ids=["default", "raising"])
-    def test_point_eval_grid(self, monkeypatch, slack):
-        monkeypatch.setattr(analytic, "_RANGE_SLACK", slack)
+    # the package's check, and a stricter one that refuses every value within 0.01
+    # of 0 or 1, which makes most of the grid's reports raise, so the report's
+    # error order is checked against the standalone forms too
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "raising"])
+    def test_point_eval_grid(self, monkeypatch, strict):
+        if strict:
+            def refuse_near_the_ends(raw, what, scheme=None):
+                if not 0.01 <= raw <= 0.99:
+                    raise ProbabilityRangeError(f"{what} {scheme} {raw!r}")
+                return raw
+            monkeypatch.setattr(analytic, "_as_probability", refuse_near_the_ends)
         raised = 0
         for p0_db in POINT_POWERS_DB:
             for p1_db in POINT_POWERS_DB:
@@ -355,7 +443,7 @@ class TestReportMatchesStandaloneForms:
                                 continue
                             assert (got.scheme, got.pout_case_i, got.pout_case_ii, got.pout_case_iii,
                                     got.pout_total, got.pout_total_hi_snr) == (scheme, *forms)
-        assert raised == 0 if slack > 0 else raised > 0
+        assert raised == 0 if not strict else raised > 0
 
     @pytest.mark.parametrize("scheme", [SchemeId.CSI_SIC, SchemeId.OMA_PRIMARY])
     def test_errors_name_the_scheme_token(self, scheme):

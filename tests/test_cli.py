@@ -136,6 +136,19 @@ class TestBoundaryErrors:
         self.assert_one_error_line(code, out, err)
         assert err.startswith(f"crnoma: error: {flag} ") and "too large" in err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("outage", "--engine", "analytic", "--p0-db", "3000", "--p1-db", "-3000",
+          "--r0", "1", "--r1", "1"), "closed forms leave the float range"),
+        (("outage", "--engine", "analytic", "--p0-db", "-300", "--p1-db", "-1000",
+          "--r0", "1e-6", "--r1", "1e-6", "--scheme", "qos-sic"), "closed forms leave the float range"),
+        (("rate", "--p0-db", "3000", "--p1-db", "3000", "--g0", "1e300", "--g1", "1e300",
+          "--r0", "1", "--r1", "1"), "received SNRs p0*g0 = inf and p1*g1 = inf must be finite"),
+    ], ids=["outage-zero-divisor", "outage-exp-overflow", "rate-infinite-snr"])
+    def test_out_of_float_range_is_one_error_line(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        self.assert_one_error_line(code, out, err)
+        assert needle in err
+
     @pytest.mark.parametrize("argv", [
         ("outage", "--engine", "both", "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1",
          "--samples", "1e3", "--seed", "-1"),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import pickle
 from collections import Counter
@@ -11,6 +12,7 @@ from crnoma import (
     CaseLabel,
     ChannelRealization,
     GainStream,
+    ParameterError,
     SchemeId,
     SystemParams,
     UnknownSchemeError,
@@ -22,6 +24,8 @@ from crnoma import (
     rs_decide,
     tally_population,
 )
+from crnoma import strategy
+from crnoma.cli import main
 
 # the two worked scenarios: (p0, p1, g0, g1) with r0_hat = 2 so eps0 = 3
 SCENARIO_ONE = (SystemParams(p0=1.0, p1=10.0, r0_hat=2.0, r1_hat=4.0),
@@ -280,6 +284,83 @@ class TestInvariants:
         params, chan = SCENARIO_ONE
         with pytest.raises((UnknownSchemeError, AttributeError)):
             evaluate_outcome("not-a-scheme", params, chan)  # type: ignore[arg-type]
+
+
+# every scalar entry point, each taking (params, chan)
+SCALAR_CALLS = (rs_decide, benchmark_rate_qos_sic, benchmark_rate_nh_sic,
+                *(functools.partial(evaluate_outcome, s) for s in SchemeId))
+
+
+def _count_rules(mp: pytest.MonkeyPatch) -> list:
+    """Empty the rule memo and make every _Rule built append itself to the returned list."""
+    built = []
+
+    class Spy(strategy._Rule):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    mp.setattr(strategy, "_Rule", Spy)
+    mp.setattr(strategy, "_last_rule", None)
+    return built
+
+
+class TestOneRulePerRealization:
+    def test_scalar_calls_share_one_rule(self, monkeypatch):
+        built = _count_rules(monkeypatch)
+        params, chan = SCENARIO_ONE
+        for call in SCALAR_CALLS:
+            call(params, chan)
+        assert len(built) == 1
+
+    def test_rate_command_builds_one_rule(self, monkeypatch, capsys):
+        built = _count_rules(monkeypatch)
+        code = main(["rate", "--p0-db", "0", "--p1-db", "10", "--g0", "10", "--g1", "10",
+                     "--r0", "2", "--r1", "4", "--scheme", "rs"])
+        assert code == 0 and "scheme=rs" in capsys.readouterr().out
+        assert len(built) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(random_inputs(), min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.integers(0, len(SCALAR_CALLS) - 1)), min_size=1, max_size=40))
+    def test_interleaved_pairs_match_a_fresh_rule(self, values, steps):
+        # two distinct objects of each drawn value: equal, but not the same object
+        params_pool = [p for params, _ in values for p in (params, dataclasses.replace(params))]
+        chan_pool = [c for _, chan in values for c in (chan, dataclasses.replace(chan))]
+        with pytest.MonkeyPatch.context() as mp:
+            built = _count_rules(mp)
+            last = None
+            for i, j, k in steps:
+                params, chan = params_pool[i % len(params_pool)], chan_pool[j % len(chan_pool)]
+                call = SCALAR_CALLS[k]
+                kept = strategy._last_rule
+                strategy._last_rule = None
+                fresh = call(params, chan)
+                strategy._last_rule = kept
+                before = len(built)
+                got = call(params, chan)
+                same = last is not None and last[0] is params and last[1] is chan
+                assert len(built) - before == (0 if same else 1)
+                assert repr(got) == repr(fresh)
+                memo = strategy._last_rule
+                assert len(memo) == 3 and memo[0] is params and memo[1] is chan
+                assert memo[2] is (kept[2] if same else built[-1])
+                last = (params, chan)
+
+    @pytest.mark.parametrize("p0, g0, p1, g1", [(1e300, 1e300, 1.0, 1.0), (1.0, 1.0, 1e300, 1e10),
+                                                (1e300, 1e300, 1e300, 1e300)],
+                             ids=["p0g0", "p1g1", "both"])
+    def test_infinite_received_snr_is_a_parameter_error(self, monkeypatch, p0, g0, p1, g1):
+        built = _count_rules(monkeypatch)
+        params = SystemParams(p0=p0, p1=p1, r0_hat=1.0, r1_hat=1.0)
+        chan = ChannelRealization(g0=g0, g1=g1)
+        for call in SCALAR_CALLS:
+            with pytest.raises(ParameterError, match=r"^received SNRs p0\*g0 = .* must be finite$"):
+                call(params, chan)
+        assert built == [] and strategy._last_rule is None
 
 
 # -- independent oracle: every outcome rebuilt from received_sinrs and log2 rates,

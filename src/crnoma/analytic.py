@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, ProbabilityRangeError, UnknownSchemeError
-from .params import DerivedConstants, SystemParams, derive_constants
+from .params import DerivedConstants, SystemParams, _slot_init, derive_constants
 from .strategy import _NH_SIC, _QOS_SIC, _RS, SchemeId
 
 _RANGE_SLACK = 1e-9
@@ -317,6 +317,7 @@ def delay_limited_throughput(scheme: SchemeId, params: SystemParams) -> float:
     return params.r1_hat * (1.0 - total_outage(scheme, params))
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class AnalyticReport:
     """Per-case and total secondary outage of one scheme, with the high-SNR headline."""

@@ -13,7 +13,7 @@ import sys
 
 from . import analytic
 from .channel import SamplerConfig
-from .errors import ParameterError, UnknownSchemeError
+from .errors import ParameterError, ProbabilityRangeError, QuadratureError, UnknownSchemeError
 from .estimator import Metric, estimate_batch
 from .experiments import PRESET_NAMES, figure_preset, load_spec, emit, render, run_sweep
 from .params import ChannelRealization, SystemParams, _as_count, db_to_linear
@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, ProbabilityRangeError, QuadratureError) as exc:
         print(f"crnoma: error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,15 @@ tests that RS, NH-SIC and QoS-SIC share are counted once for all three.
 
 With more than one worker, shards run in forked shard-owner processes, kept
 from call to call (see ``_owner_pool``): owner k of W tallies shards k,
-k + W, ..., drawing them itself, and sends one tally per shard back over a
-pipe; the caller merges them in shard order. Threads had to retake the GIL
-between every two numpy calls, so two of them ran little faster than one;
-two processes share nothing. With one worker, the calling process runs the
-same owner code (``_own_tallies``) itself.
+k + W, ..., drawing them itself, and the caller merges the shards' tallies
+in shard order. The pipes carry plain fields only: the job, pickled once
+for every owner (``_job_bytes``), and each tally back as one flat tuple
+(``_flat``). Pickling SystemParams with its cached constants, the tally
+dataclasses and SchemeId members took ~145 us of a ~835 us counts-only
+sweep cell. Threads had to retake the GIL between every two numpy calls,
+so two of them ran little faster than one; two processes share nothing.
+With one worker, the calling process runs the same owner code
+(``_own_tallies``) itself.
 
 A tally holds only the products of the rule that its metrics read
 (``_tally_products``): the case and outage counts, the achieved-rate sums,
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import signal
 import threading
 from collections.abc import Iterable, Iterator
@@ -69,7 +74,7 @@ import numpy as np
 
 from .channel import GainStream, SamplerConfig
 from .errors import InsufficientConditioningError, ParameterError, UnknownSchemeError
-from .params import SystemParams, _as_count, derive_constants
+from .params import SystemParams, _as_count, _slot_init, derive_constants
 from .strategy import SchemeId, _Rule, _SchemeRule
 
 _BLOCK = 1 << 20  # realizations per vectorized block inside a shard
@@ -93,6 +98,7 @@ class Metric(Enum):
 
 
 _SECONDARY_SCHEMES = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_SIC)
+_SCHEME_OF = {scheme.value: scheme for scheme in SchemeId}  # a job names its schemes by value
 
 
 @dataclass
@@ -269,6 +275,7 @@ def _scheme_tally(rule: _Rule, own: _SchemeRule | None, shared: tuple[int, int] 
     return st
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class OutageEstimate:
     """Monte Carlo mean with its standard error and 95% interval.
@@ -326,7 +333,7 @@ def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
 
 _Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
 # what a shard owner is asked to tally: (params, (seed, stream_count, n_samples), schemes,
-# with_rates, with_counts)
+# with_rates, with_counts); it travels to the owners as plain fields (see _job_bytes)
 _Job = tuple[SystemParams, tuple[int, int, int], tuple[SchemeId, ...], bool, bool]
 
 
@@ -487,6 +494,9 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
     """
     n_samples = _as_count("n_samples", n_samples, 1)
     nworkers = _worker_count(workers)
+    for scheme in schemes:  # the rule's own refusal, before any draw at every worker count
+        if not isinstance(scheme, SchemeId):
+            raise UnknownSchemeError(f"unknown scheme {scheme!r}")
     job = (params, (sampler.seed, sampler.stream_count, n_samples), schemes, with_rates, with_counts)
     shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, nworkers)
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
@@ -503,16 +513,18 @@ _owners_lock = threading.Lock()
 def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
     """Every shard's tally from the process's nworkers owners, in shard order.
 
-    An exception that an owner raised is raised here, once every owner has
-    answered, so the next call starts from a quiet pipe.
+    The job is pickled once, as plain fields, and the same bytes go to every
+    owner. An exception that an owner raised is raised here, once every
+    owner has answered, so the next call starts from a quiet pipe.
     """
-    _, stream_count, n_samples = job[1]
+    _, (_, stream_count, n_samples), schemes, with_rates, with_counts = job
     nshards = min(n_samples, stream_count)  # the nonempty ones
+    payload = _job_bytes(job)
     with _owners_lock:  # one job at a time on the pipes
         owners = _owner_pool(nworkers)[:nshards]
         try:
             for _, conn in owners:
-                conn.send(job)
+                conn.send_bytes(payload)
             replies = [conn.recv() for _, conn in owners]
         except (OSError, EOFError) as exc:
             _stop_owners()
@@ -524,10 +536,41 @@ def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
     for ok, value in replies:
         if not ok:
             raise value
-    if not job[3]:  # without rate sums, integer counts add up the same in any order
-        return [tally for _, owned in replies for tally in owned]
-    # owner k holds shards k, k + nworkers, ...
-    return [replies[i % nworkers][1][i // nworkers] for i in range(nshards)]
+    held = tuple(dict.fromkeys(schemes))  # a tally's schemes, in the order its reply lists them
+    if not with_rates:  # without rate sums, integer counts add up the same in any order
+        flats = [flat for _, owned in replies for flat in owned]
+    else:  # owner k holds shards k, k + nworkers, ...
+        flats = [replies[i % nworkers][1][i // nworkers] for i in range(nshards)]
+    return [_unflat(flat, held, with_counts, with_rates) for flat in flats]
+
+
+def _job_bytes(job: _Job) -> bytes:
+    """A job pickled as plain fields: the four parameters, the key, the schemes' values, the flags.
+
+    Plain floats, ints and strings pickle and load in well under a
+    microsecond, where SystemParams (with its cached constants) and SchemeId
+    members take several; the owner rebuilds them (see _owner_main).
+    """
+    params, key, schemes, with_rates, with_counts = job
+    return pickle.dumps((params.p0, params.p1, params.r0_hat, params.r1_hat, key,
+                         tuple(scheme.value for scheme in schemes), with_rates, with_counts))
+
+
+def _flat(tally: PopulationTally) -> tuple:
+    """A tally as one tuple: n and its four counts, then each scheme's five fields, in its order."""
+    flat = [tally.n, tally.case_i, tally.case_ii, tally.case_iii, tally.primary_outage]
+    for st in tally.schemes.values():
+        flat += (st.outage_case_i, st.outage_case_ii, st.outage_case_iii, st.rate_sum, st.rate_sq_sum)
+    return tuple(flat)
+
+
+def _unflat(flat: tuple, schemes: tuple[SchemeId, ...], with_counts: bool,
+            with_rates: bool) -> PopulationTally:
+    """The tally that _flat made flat; schemes are its schemes, in order, each once."""
+    tally = PopulationTally(*flat[:5], has_counts=with_counts, has_rates=with_rates)
+    for k, scheme in enumerate(schemes):
+        tally.schemes[scheme] = SchemeTally(*flat[5 + 5 * k:10 + 5 * k])
+    return tally
 
 
 def _owner_pool(nworkers: int) -> tuple:
@@ -560,9 +603,10 @@ def _owner_pool(nworkers: int) -> tuple:
 def _owner_main(ours, theirs, first: int, step: int) -> None:
     """An owner's life: answer each job with its shards' tallies until the caller's end closes.
 
-    The at-fork hook has closed the caller's ends of the earlier owners'
-    pipes; closing this pipe's as well lets the caller's exit, or death,
-    read as EOF here.
+    A job comes as _job_bytes made it, and each tally goes back flat (see
+    _flat), in shard order. The at-fork hook has closed the caller's ends of
+    the earlier owners' pipes; closing this pipe's as well lets the caller's
+    exit, or death, read as EOF here.
     """
     global _kept
     ours.close()
@@ -570,11 +614,14 @@ def _owner_main(ours, theirs, first: int, step: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to report
     while True:
         try:
-            job = theirs.recv()
+            payload = theirs.recv_bytes()
         except EOFError:
             return
         try:
-            reply = (True, _own_tallies(job, first, step))
+            p0, p1, r0_hat, r1_hat, key, values, with_rates, with_counts = pickle.loads(payload)
+            schemes = tuple(map(_SCHEME_OF.__getitem__, values))
+            job = (SystemParams(p0, p1, r0_hat, r1_hat), key, schemes, with_rates, with_counts)
+            reply = (True, [_flat(tally) for tally in _own_tallies(job, first, step)])
         except Exception as exc:  # the caller raises it
             reply = (False, exc)
         theirs.send(reply)

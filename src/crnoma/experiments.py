@@ -32,8 +32,8 @@ from .channel import SamplerConfig
 from .errors import ParameterError, UnknownSchemeError
 from .estimator import (_SECONDARY_SCHEMES, Metric, _tally_products, _worker_count,
                         estimate_from_tally, simulate_tally)
-from .params import (SystemParams, _as_count, _as_float, _require_positive_finite, db_to_linear,
-                     derive_constants)
+from .params import (SystemParams, _as_count, _as_float, _require_positive_finite, _slot_init,
+                     db_to_linear, derive_constants)
 from .strategy import SchemeId
 
 AXES = ("P1_DB", "TARGET_RATE_R1")
@@ -153,6 +153,7 @@ def load_spec(path: str | Path) -> SweepSpec:
     return SweepSpec.from_dict(d)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class SweepRow:
     axis_value: float
@@ -163,6 +164,7 @@ class SweepRow:
     std_error: float | None = None
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class CellFailure:
     axis_value: float

@@ -33,7 +33,8 @@ share one rule per realization: ``_scalar_rule`` builds both products and
 keeps the last rule with the ``params`` and ``chan`` objects it was built
 from, so the five schemes of one realization build it once. A tally builds
 whichever products its metrics need. The results, ``RsDecision`` and
-``TransmissionOutcome``, are frozen, slotted dataclasses.
+``TransmissionOutcome``, are frozen, slotted dataclasses, built through
+their slots (see ``params._slot_init``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from enum import Enum
 from types import SimpleNamespace
 from typing import Any
 
-from .params import ChannelRealization, DerivedConstants, SystemParams, derive_constants
+from .params import (ChannelRealization, DerivedConstants, SystemParams, _slot_init,
+                     derive_constants)
 from .errors import ParameterError, UnknownSchemeError
 
 
@@ -70,6 +72,7 @@ _RS, _NH_SIC, _QOS_SIC, _CSI_SIC, _OMA_PRIMARY = (SchemeId.RS, SchemeId.NH_SIC, 
 _CASE_I, _CASE_II, _CASE_III = CaseLabel.I, CaseLabel.II, CaseLabel.III
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class RsDecision:
     """Chosen power split and the rates it supports on one realization."""
@@ -83,6 +86,7 @@ class RsDecision:
     transmits: bool
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class TransmissionOutcome:
     """Per-realization result of one scheme.
@@ -265,6 +269,8 @@ _last_rule: tuple | None = None
 def _scalar_rule(params: SystemParams, chan: ChannelRealization) -> _Rule:
     """The rule of one realization, with both products.
 
+    Received SNRs p0*g0 and p1*g1, or a budget p0*g0/eps0 - 1, out of the
+    float range raise ParameterError; the array path leaves such draws alone.
     The last rule built is returned again while the same params and chan
     objects (tested with is) come back, so evaluate_outcome over every
     scheme and rs_decide share one. The memo holds those two objects, so
@@ -278,6 +284,9 @@ def _scalar_rule(params: SystemParams, chan: ChannelRealization) -> _Rule:
     p0g0, p1g1 = params.p0 * chan.g0, params.p1 * chan.g1
     if not (math.isfinite(p0g0) and math.isfinite(p1g1)):
         raise ParameterError(f"received SNRs p0*g0 = {p0g0!r} and p1*g1 = {p1g1!r} must be finite")
+    if not math.isfinite(p0g0 / c.eps0):  # the budget p0*g0/eps0 - 1 overflows where p0*g0 does not
+        raise ParameterError(f"interference budget p0*g0/eps0 - 1 must be finite, got p0*g0 = "
+                             f"{p0g0!r} over eps0 = {c.eps0!r}")
     rule = _Rule(c, p0g0, p1g1, True, True, _SCALAR)
     _last_rule = (params, chan, rule)
     return rule

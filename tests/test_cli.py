@@ -143,11 +143,26 @@ class TestBoundaryErrors:
           "--r0", "1e-6", "--r1", "1e-6", "--scheme", "qos-sic"), "closed forms leave the float range"),
         (("rate", "--p0-db", "3000", "--p1-db", "3000", "--g0", "1e300", "--g1", "1e300",
           "--r0", "1", "--r1", "1"), "received SNRs p0*g0 = inf and p1*g1 = inf must be finite"),
-    ], ids=["outage-zero-divisor", "outage-exp-overflow", "rate-infinite-snr"])
+        (("rate", "--p0-db", "3000", "--p1-db", "3000", "--g0", "1e8", "--g1", "1e8",
+          "--r0", "1e-6", "--r1", "1", "--scheme", "rs"),
+         "interference budget p0*g0/eps0 - 1 must be finite, got p0*g0 = 1e+308 over eps0 = "),
+    ], ids=["outage-zero-divisor", "outage-exp-overflow", "rate-infinite-snr", "rate-infinite-budget"])
     def test_out_of_float_range_is_one_error_line(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)
         self.assert_one_error_line(code, out, err)
         assert needle in err
+
+    @pytest.mark.parametrize("argv, printed, error", [
+        (("outage", "--engine", "analytic", "--p0-db", "-3000", "--p1-db", "-3000",
+          "--r0", "50", "--r1", "1e-6"), 0, "rs_case_i_outage evaluated to nan, outside [0, 1]"),
+        (("outage", "--engine", "analytic", "--p0-db", "-3000", "--p1-db", "-2400",
+          "--r0", "1e-6", "--r1", "50"), 1, "case-II quadrature produced a non-probability: nan"),
+    ], ids=["probability-range", "quadrature"])
+    def test_closed_form_failure_is_one_error_line(self, capsys, argv, printed, error):
+        # the quadrature runs after the closed-form report has been printed
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err == f"crnoma: error: {error}\n"
+        assert out.count("\n") == printed and out.startswith("analytic scheme=rs " if printed else "")
 
     @pytest.mark.parametrize("argv", [
         ("outage", "--engine", "both", "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -1049,13 +1050,25 @@ class TestOwnerLifecycle:
         report = json.loads(proc.stdout.splitlines()[-1])
         assert len(report["started"]) == 2 and report["alive"] == []
 
-    def test_owner_error_reaches_the_caller(self, params_10db):
+    @pytest.mark.parametrize("bad, schemes, error", [
+        # derived in each owner, from the parameters it rebuilds
+        (SystemParams(p0=10.0, p1=10.0, r0_hat=2000.0, r1_hat=1.0), tuple(SECONDARY), ParameterError),
+        # refused in the caller, before any owner is asked, as the rule refuses it at one worker
+        (SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0), ("bogus",), UnknownSchemeError),
+    ], ids=["owner", "caller"])
+    def test_owner_error_reaches_the_caller(self, params_10db, bad, schemes, error):
         sampler = SamplerConfig(seed=52)
         expected = simulate_tally(params_10db, sampler, 10_000, workers=1)
         simulate_tally(params_10db, sampler, 10_000, workers=2)
         pids = _owner_pids()
-        with pytest.raises(UnknownSchemeError, match="^unknown scheme 'bogus'$"):
-            simulate_tally(params_10db, sampler, 10_000, ("bogus",), workers=2)
+        with pytest.raises(error) as at_one:
+            simulate_tally(bad, sampler, 10_000, schemes, workers=1)
+        for _ in range(2):  # the second call finds the key kept
+            with pytest.raises(error) as at_two:
+                simulate_tally(bad, sampler, 10_000, schemes, workers=2)
+            assert type(at_two.value) is type(at_one.value) is error
+            assert str(at_two.value) == str(at_one.value)
+        assert str(at_one.value).startswith(("target rate too large: ", "unknown scheme 'bogus'"))
         assert simulate_tally(params_10db, sampler, 10_000, workers=2) == expected
         assert _owner_pids() == pids  # an error in the tally leaves the owners running
 
@@ -1108,6 +1121,57 @@ class TestOwnerLifecycle:
                     os.killpg(proc.pid, signal.SIGKILL)
         assert proc.returncode != 0
         assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt"), err
+
+
+class TestOwnerMessages:
+    """A job goes to the owners pickled once, as plain fields; each tally comes back as one flat tuple."""
+
+    # a repeated scheme, and one with no secondary transmission, keep the replies' scheme order honest
+    SCHEMES = (SchemeId.CSI_SIC, SchemeId.RS, SchemeId.OMA_PRIMARY, SchemeId.RS, SchemeId.NH_SIC)
+
+    @pytest.mark.parametrize("with_counts, with_rates", [(True, False), (False, True), (True, True)],
+                             ids=["counts", "rates", "both"])
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "one-off"])
+    def test_owners_equal_one_worker(self, monkeypatch, empty_kept_set, with_counts, with_rates, kept):
+        if not kept:
+            monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", 9_999)  # before any owner is forked
+        params, sampler = make_params(10.0, 13.0, 1.0, 1.5), SamplerConfig(seed=61, stream_count=7)
+
+        def run(workers):
+            return simulate_tally(params, sampler, 10_000, self.SCHEMES, with_rates, workers,
+                                  with_counts=with_counts)
+
+        expected = run(1)
+        assert _kept_key() == ((61, 7, 10_000) if kept else None)
+        assert list(expected.schemes) == [SchemeId.CSI_SIC, SchemeId.RS, SchemeId.OMA_PRIMARY,
+                                          SchemeId.NH_SIC]
+        for workers in (2, 2, 3, 3):  # each count draws, then finds its key kept (if it is kept)
+            got = run(workers)
+            assert got == expected and list(got.schemes) == list(expected.schemes)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_call_pickles_its_job_once(self, monkeypatch, params_10db, workers):
+        from multiprocessing.connection import Connection
+
+        sampler = SamplerConfig(seed=62, stream_count=5)
+
+        def run():
+            return simulate_tally(params_10db, sampler, 5_000, tuple(SECONDARY), workers=workers)
+
+        expected = run()  # starts the owners, with more than one worker
+        dumped, sent = [], []
+        dumps, send_bytes = pickle.dumps, Connection.send_bytes
+        monkeypatch.setattr(pickle, "dumps", lambda obj, *a, **k: dumped.append(obj) or dumps(obj, *a, **k))
+        monkeypatch.setattr(Connection, "send_bytes",
+                            lambda conn, buf, *a: sent.append(buf) or send_bytes(conn, buf, *a))
+        assert run() == expected
+        if workers == 1:  # the calling process tallies; nothing is sent
+            assert dumped == sent == []
+            return
+        job = (10.0, 10.0, 1.0, 1.0, (62, 5, 5_000), ("rs", "nh-sic", "qos-sic", "csi-sic"), False, True)
+        assert dumped == [job]
+        assert len(sent) == workers and all(buf is sent[0] for buf in sent)  # the same bytes to each
+        assert pickle.loads(sent[0]) == job
 
 
 class TestWorkerCount:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import sys
@@ -13,6 +14,7 @@ from scipy import stats
 import crnoma.params
 from crnoma import (
     AnalyticReport,
+    CaseLabel,
     ChannelRealization,
     DerivedConstants,
     GainStream,
@@ -24,6 +26,7 @@ from crnoma import (
     SchemeId,
     SweepRow,
     SystemParams,
+    TransmissionOutcome,
     analytic_report,
     case_ii_outage_quadrature,
     conditional_case_ii_outage,
@@ -33,7 +36,9 @@ from crnoma import (
     evaluate_outcome,
     rs_decide,
 )
+from crnoma import analytic, estimator, experiments, strategy
 from crnoma.experiments import CellFailure
+from crnoma.params import _slot_init
 
 
 class TestDerivedConstants:
@@ -158,6 +163,34 @@ class TestConstantsMemo:
         assert derivations == [p]
 
 
+# positional arguments of each type built by _slot_init; ChannelRealization's ints become floats
+_SLOT_INIT_ARGS = {
+    DerivedConstants: (1.0, 3.0, 0.1, 0.3),
+    ChannelRealization: (2, 0.5),
+    RsDecision: (CaseLabel.II, 0.25, 1.5, 0.5, 1.25, 1.75, True),
+    TransmissionOutcome: (SchemeId.RS, False, 1.5, False, CaseLabel.I),
+    AnalyticReport: (SchemeId.NH_SIC, 0.1, 0.2, 0.3, 0.6, 0.5),
+    OutageEstimate: (SchemeId.RS, Metric.OUTAGE_TOTAL, 0.5, 0.01, 0.48, 0.52, 1000),
+    SweepRow: (10.0, SchemeId.RS, Metric.OUTAGE_TOTAL, "MONTE_CARLO", 0.5, 0.01),
+    CellFailure: (10.0, SchemeId.CSI_SIC, Metric.OUTAGE_TOTAL, "ANALYTIC", "no closed form"),
+}
+
+
+def _twin(cls: type) -> type:
+    """cls as dataclass alone builds it: the same fields, defaults and __post_init__, its own __init__."""
+    fields = dataclasses.fields(cls)
+    namespace = {"__annotations__": {f.name: f.type for f in fields}, "__module__": cls.__module__}
+    namespace.update((f.name, f.default) for f in fields if f.default is not dataclasses.MISSING)
+    if "__post_init__" in cls.__dict__:
+        namespace["__post_init__"] = cls.__dict__["__post_init__"]
+    return dataclasses.dataclass(frozen=True, slots=True)(type(cls.__name__, (), namespace))
+
+
+def _stored(value) -> list:
+    """Each field's value with its type, since 2 == 2.0."""
+    return [(type(v), v) for v in (getattr(value, f.name) for f in dataclasses.fields(value))]
+
+
 def _slotted_values() -> list:
     params = SystemParams(p0=10.0, p1=20.0, r0_hat=1.0, r1_hat=2.0)
     chan = ChannelRealization(g0=1.5, g1=0.5)
@@ -169,6 +202,7 @@ def _slotted_values() -> list:
         OutageEstimate(SchemeId.RS, Metric.OUTAGE_TOTAL, 0.1, 0.01, 0.08, 0.12, 1000),
         SweepRow(10.0, SchemeId.RS, Metric.OUTAGE_TOTAL, "MONTE_CARLO", 0.1, 0.01),
         CellFailure(10.0, SchemeId.CSI_SIC, Metric.OUTAGE_TOTAL, "ANALYTIC", "csi-sic has no closed form"),
+        evaluate_outcome(SchemeId.RS, params, chan),
     ]
 
 
@@ -178,7 +212,7 @@ class TestSlottedValueTypes:
     def test_every_type_is_covered(self):
         assert {type(v) for v in _slotted_values()} == {
             AnalyticReport, RsDecision, DerivedConstants, ChannelRealization,
-            OutageEstimate, SweepRow, CellFailure}
+            OutageEstimate, SweepRow, CellFailure, TransmissionOutcome}
 
     @pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
     def test_copies_are_equal_with_equal_hash(self, value):
@@ -204,14 +238,69 @@ class TestSlottedValueTypes:
         (dict(g0=True, g1=1.0), "g0 must be a number, got True"),
     ])
     def test_channel_realization_messages(self, gains, message):
-        with pytest.raises(ParameterError) as exc:
-            ChannelRealization(**gains)
-        assert str(exc.value) == message
+        # by keyword and by position, and as the dataclass's own __init__ words them
+        for cls in (ChannelRealization, _twin(ChannelRealization)):
+            for args, kwargs in (((), gains), (tuple(gains.values()), {})):
+                with pytest.raises(ParameterError) as exc:
+                    cls(*args, **kwargs)
+                assert str(exc.value) == message
 
     def test_channel_realization_stores_floats(self):
         chan = ChannelRealization(g0=2, g1=3)
         assert (type(chan.g0), type(chan.g1)) == (float, float)
         assert (chan.g0, chan.g1) == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("cls", list(_SLOT_INIT_ARGS), ids=lambda cls: cls.__name__)
+class TestSlotInit:
+    """_slot_init's __init__ builds what the dataclass's own builds, and changes nothing else."""
+
+    def test_construction_equals_the_dataclass_init(self, cls):
+        twin, args = _twin(cls), _SLOT_INIT_ARGS[cls]
+        kwargs = {f.name: a for f, a in zip(dataclasses.fields(cls), args)}
+        required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(cls))
+        for made, reference in [(cls(*args), twin(*args)), (cls(**kwargs), twin(**kwargs)),
+                                (cls(*args[:required]), twin(*args[:required])),
+                                (cls(**dict(list(kwargs.items())[:required])), twin(*args[:required]))]:
+            assert type(made) is cls and _stored(made) == _stored(reference)
+            assert repr(made) == repr(reference) and hash(made) == hash(reference)
+        assert cls(*args) == cls(**kwargs)
+
+    def test_signature_is_the_dataclass_init(self, cls):
+        # names, kinds, defaults and annotations
+        assert inspect.signature(cls) == inspect.signature(_twin(cls))
+
+    def test_frozen_and_replaced_field_by_field(self, cls):
+        # pickling, copies and hashes: TestSlottedValueTypes
+        value = cls(*_SLOT_INIT_ARGS[cls])
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+            copied = dataclasses.replace(value, **{f.name: getattr(value, f.name)})
+            assert copied == value and copied is not value and hash(copied) == hash(value)
+
+    def test_stores_through_the_slots(self, cls):
+        setters = {f"_set_{f.name}" for f in dataclasses.fields(cls)}
+        assert setters <= set(cls.__init__.__code__.co_freevars)
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def test_slot_init_covers_every_frozen_slotted_type():
+    found = {obj for module in (crnoma.params, strategy, analytic, estimator, experiments)
+             for obj in vars(module).values()
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+             and obj.__dataclass_params__.frozen and "__slots__" in obj.__dict__}
+    assert found == set(_SLOT_INIT_ARGS)
+
+
+@pytest.mark.parametrize("decorate", [
+    dataclasses.dataclass(frozen=True),
+    dataclasses.dataclass(frozen=True, slots=True, kw_only=True),
+], ids=["no-slots", "keyword-only"])
+def test_slot_init_refuses_what_it_cannot_rebuild(decorate):
+    cls = decorate(type("Pair", (), {"__annotations__": {"a": "float", "b": "float"}}))
+    with pytest.raises(TypeError):
+        _slot_init(cls)
 
 
 def test_db_round_trip():

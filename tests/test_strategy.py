@@ -362,6 +362,20 @@ class TestOneRulePerRealization:
                 call(params, chan)
         assert built == [] and strategy._last_rule is None
 
+    @pytest.mark.parametrize("call", [rs_decide, *(functools.partial(evaluate_outcome, s) for s in SchemeId)],
+                             ids=["rs_decide", *(f"evaluate_outcome-{s.value}" for s in SchemeId)])
+    def test_infinite_budget_is_a_parameter_error(self, monkeypatch, call):
+        # p0*g0 = 1e308 is finite, but p0*g0/eps0 with eps0 = 2^1e-6 - 1 is not
+        built = _count_rules(monkeypatch)
+        params = SystemParams(p0=1e300, p1=1e300, r0_hat=1e-6, r1_hat=1.0)
+        chan = ChannelRealization(g0=1e8, g1=1e8)
+        eps0 = derive_constants(params).eps0
+        with pytest.raises(ParameterError) as exc:
+            call(params, chan)
+        assert str(exc.value) == (f"interference budget p0*g0/eps0 - 1 must be finite, "
+                                  f"got p0*g0 = 1e+308 over eps0 = {eps0!r}")
+        assert built == [] and strategy._last_rule is None
+
 
 # -- independent oracle: every outcome rebuilt from received_sinrs and log2 rates,
 # without the decision kernel that evaluate_outcome and tally_population share

@@ -23,6 +23,14 @@ Every closed form is assembled from five terms, each written once:
 
 and one function, ``_case_ii_raw``, picks each scheme's case-II strips.
 
+Each term is evaluated at most once per point: the closed forms share one
+record (``_Point``) of the terms of the last ``SystemParams`` object they were
+called with, tested with ``is``. analytic_report, conditional_case_ii_outage
+and delay_limited_throughput of RS, NH-SIC and QoS-SIC at one point evaluate
+5 strips instead of 23. Only that last point is kept: nothing is stored on
+``SystemParams``, and a second pass over a grid computes every point again.
+A term that raises is not kept, so it raises the same error again.
+
 Probabilities are clamped to [0, 1] only after checking the raw value lies in
 [-1e-9, 1 + 1e-9]; a worse violation raises instead of hiding a broken formula.
 A strip term (or the QoS-SIC floor) that divides by an underflowed zero or
@@ -110,11 +118,6 @@ def _scaled_strip(log_scale: float, nu: float, lo: float, hi: float | None) -> f
     return math.exp(log_scale - lo * t) * (-math.expm1(-x)) / t
 
 
-def _strip_end(c: DerivedConstants) -> float:
-    """eta0*(1+eps1): where the RS and NH-SIC case-II g1 intervals close."""
-    return c.eta0 * (1.0 + c.eps1)
-
-
 @_in_float_range
 def _admission_strip(params: SystemParams, c: DerivedConstants, hi: float | None,
                      shift: float = 0.0) -> float:
@@ -137,34 +140,110 @@ def _rs_crossing_strip(params: SystemParams, c: DerivedConstants, hi: float,
     return _scaled_strip(-crossing / params.p1 + shift, -params.p0 / params.p1, c.eta0, hi)
 
 
-def _case_iii_clear(params: SystemParams, c: DerivedConstants) -> float:
-    """exp(-eta1) * (1 - exp(-eta0*k)) / k with k = p0*eta1 + 1: case III without outage."""
-    k = params.p0 * c.eta1 + 1.0
-    return math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k
+class _Point:
+    """The terms of one parameter point, each evaluated on its first use and then kept.
+
+    hi = eta0*(1+eps1) is the strip end; shift is added to each strip's
+    log-scale. A term that raises keeps nothing, so the next use raises the
+    same error again.
+    """
+
+    __slots__ = ("params", "c", "hi", "shift", "_exp_eta0", "_clear_end", "_case_iii",
+                 "_admission", "_first_clear", "_crossing", "_qos_admission", "_qos_first_clear")
+
+    def __init__(self, params: SystemParams, shift: float = 0.0) -> None:
+        self.params, self.shift = params, shift
+        self.c = c = derive_constants(params)
+        self.hi = c.eta0 * (1.0 + c.eps1)
+        self._exp_eta0 = self._clear_end = self._case_iii = None
+        self._admission = self._first_clear = self._crossing = None
+        self._qos_admission = self._qos_first_clear = None
+
+    def exp_eta0(self) -> float:
+        """exp(-eta0) = P{g0 > eta0}."""
+        if self._exp_eta0 is None:
+            self._exp_eta0 = math.exp(-self.c.eta0)
+        return self._exp_eta0
+
+    def clear_end(self) -> float:
+        """exp(-hi - eta1): g0 past the strip end and U1 clearing eps1 alone."""
+        if self._clear_end is None:
+            self._clear_end = math.exp(-self.hi - self.c.eta1)
+        return self._clear_end
+
+    def case_iii(self) -> float:
+        """exp(-eta1) * (1 - exp(-eta0*k)) / k with k = p0*eta1 + 1: case III without outage."""
+        if self._case_iii is None:
+            c = self.c
+            k = self.params.p0 * c.eta1 + 1.0
+            self._case_iii = math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k
+        return self._case_iii
+
+    def admission(self) -> float:
+        if self._admission is None:
+            self._admission = _admission_strip(self.params, self.c, self.hi, self.shift)
+        return self._admission
+
+    def first_clear(self) -> float:
+        if self._first_clear is None:
+            self._first_clear = _first_clear_strip(self.params, self.c, self.hi, self.shift)
+        return self._first_clear
+
+    def crossing(self) -> float:
+        if self._crossing is None:
+            self._crossing = _rs_crossing_strip(self.params, self.c, self.hi, self.shift)
+        return self._crossing
+
+    def qos_hi(self) -> float | None:
+        """QoS-SIC's strip end: hi/(1 - eps0*eps1), or infinity (None) once eps0*eps1 >= 1."""
+        product = self.c.eps0 * self.c.eps1
+        return self.hi / (1.0 - product) if product < 1.0 else None
+
+    def qos_admission(self) -> float:
+        if self._qos_admission is None:
+            self._qos_admission = _admission_strip(self.params, self.c, self.qos_hi(), self.shift)
+        return self._qos_admission
+
+    def qos_first_clear(self) -> float:
+        if self._qos_first_clear is None:
+            self._qos_first_clear = _first_clear_strip(self.params, self.c, self.qos_hi(), self.shift)
+        return self._qos_first_clear
 
 
-def _case_ii_raw(scheme: SchemeId, params: SystemParams, c: DerivedConstants,
-                 shift: float = 0.0) -> float:
-    """Unclamped case-II outage of one scheme times exp(shift), shift added to each strip's log-scale.
+_last_point: _Point | None = None
+
+
+def _point(params: SystemParams) -> _Point:
+    """The record of params, kept while the same params object (tested with is) comes back.
+
+    Only the last point is kept, and the record holds its params, so that
+    object's id cannot be reused while it is kept.
+    """
+    global _last_point
+    point = _last_point
+    if point is None or point.params is not params:
+        point = _last_point = _Point(params)
+    return point
+
+
+def _case_ii_raw(scheme: SchemeId, point: _Point) -> float:
+    """Unclamped case-II outage of one scheme times exp(point.shift).
 
     RS: admission - crossing strip. NH-SIC: admission - first-clear strip.
     QoS-SIC: as NH-SIC, to eta0*(1+eps1)/(1 - eps0*eps1), or to infinity once eps0*eps1 >= 1.
     """
-    hi: float | None = _strip_end(c)
     if scheme is _RS:
-        return _admission_strip(params, c, hi, shift) - _rs_crossing_strip(params, c, hi, shift)
+        return point.admission() - point.crossing()
     if scheme is _QOS_SIC:
-        product = c.eps0 * c.eps1
-        hi = hi / (1.0 - product) if product < 1.0 else None
-    elif scheme is not _NH_SIC:
+        return point.qos_admission() - point.qos_first_clear()
+    if scheme is not _NH_SIC:
         raise UnknownSchemeError(f"no closed-form case-II outage for {_token(scheme)}")
-    return _admission_strip(params, c, hi, shift) - _first_clear_strip(params, c, hi, shift)
+    return point.admission() - point.first_clear()
 
 
 def case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
     """P{case II, secondary outage} of RS, NH-SIC or QoS-SIC."""
-    return _as_probability(_case_ii_raw(scheme, params, derive_constants(params)),
-                           "case_ii_outage", scheme)
+    return _as_probability(_case_ii_raw(scheme, _point(params)), "case_ii_outage", scheme)
 
 
 def rs_case_ii_outage(params: SystemParams) -> float:
@@ -178,16 +257,15 @@ def rs_case_ii_outage(params: SystemParams) -> float:
 
 def rs_case_i_outage(params: SystemParams) -> float:
     """P{tau > 0, p1*g1 <= tau, log2(1 + p1*g1) < target}."""
-    c = derive_constants(params)
-    hi = _strip_end(c)
-    raw = math.exp(-c.eta0) - _admission_strip(params, c, hi) - math.exp(-hi - c.eta1)
+    point = _point(params)
+    raw = point.exp_eta0() - point.admission() - point.clear_end()
     return _as_probability(raw, "rs_case_i_outage")
 
 
 def rs_case_iii_outage(params: SystemParams) -> float:
     """P{tau = 0, log2(1 + p1*g1/(p0*g0 + 1)) < target}."""
-    c = derive_constants(params)
-    raw = 1.0 - math.exp(-c.eta0) - _case_iii_clear(params, c)
+    point = _point(params)
+    raw = 1.0 - point.exp_eta0() - point.case_iii()
     return _as_probability(raw, "rs_case_iii_outage")
 
 
@@ -200,9 +278,8 @@ def rs_total_outage(params: SystemParams) -> float:
 
     The three per-case terms sum to this identically; tests pin the identity.
     """
-    c = derive_constants(params)
-    hi = _strip_end(c)
-    raw = 1.0 - math.exp(-hi - c.eta1) - _rs_crossing_strip(params, c, hi) - _case_iii_clear(params, c)
+    point = _point(params)
+    raw = 1.0 - point.clear_end() - point.crossing() - point.case_iii()
     return _as_probability(raw, "rs_total_outage")
 
 
@@ -250,17 +327,16 @@ def case_ii_outage_gap(params: SystemParams) -> float:
     exp(-(eps0+eps1+eps0*eps1)/p1) * J(-p0/p1) - exp(-eta1) * J(p0*eta1).
     Equals nh_sic_case_ii_outage - rs_case_ii_outage identically.
     """
-    c = derive_constants(params)
-    hi = _strip_end(c)
-    raw = _rs_crossing_strip(params, c, hi) - _first_clear_strip(params, c, hi)
+    point = _point(params)
+    raw = point.crossing() - point.first_clear()
     return _as_probability(raw, "case_ii_outage_gap")
 
 
 def admission_probability(params: SystemParams) -> float:
     """P{tau > 0 and p1*g1 > tau} = p1*eta0*exp(-eta0) / (1 + p1*eta0)."""
-    c = derive_constants(params)
-    k = params.p1 * c.eta0
-    raw = k * math.exp(-c.eta0) / (1.0 + k)
+    point = _point(params)
+    k = params.p1 * point.c.eta0
+    raw = k * point.exp_eta0() / (1.0 + k)
     return _as_probability(raw, "admission_probability")
 
 
@@ -282,7 +358,7 @@ def conditional_case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
         return _as_probability(case_ii_outage(scheme, params) / denom, "conditional_case_ii_outage")
     c = derive_constants(params)
     k = params.p1 * c.eta0
-    raw = _case_ii_raw(scheme, params, c, shift=c.eta0) / (k / (1.0 + k))
+    raw = _case_ii_raw(scheme, _Point(params, shift=c.eta0)) / (k / (1.0 + k))
     return _as_probability(raw, "conditional_case_ii_outage")
 
 

@@ -33,7 +33,7 @@ from crnoma import (
     total_outage_high_snr,
 )
 from crnoma import ParameterError, ProbabilityRangeError, analytic
-from crnoma.analytic import _as_probability, _case_ii_raw, _scaled_strip
+from crnoma.analytic import _Point, _as_probability, _case_ii_raw, _scaled_strip
 from crnoma.selftest import parameter_grid
 
 from conftest import make_params
@@ -253,7 +253,7 @@ class TestAdmissionAndConditional:
                 k = params.p1 * c.eta0
                 routes.add(admission_probability(params) >= sys.float_info.min)
                 for scheme in (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC):
-                    shifted = _case_ii_raw(scheme, params, c, shift=c.eta0) / (k / (1.0 + k))
+                    shifted = _case_ii_raw(scheme, _Point(params, shift=c.eta0)) / (k / (1.0 + k))
                     assert conditional_case_ii_outage(scheme, params) == pytest.approx(
                         shifted, rel=0.0, abs=1e-15)
         assert routes == {True, False}
@@ -386,10 +386,11 @@ class TestFloatRange:
     ], ids=["exp-overflow", "zero-divisor"])
     @pytest.mark.parametrize("scheme", CLOSED_FORM)
     def test_strip_out_of_range_is_one_parameter_error(self, params, cause, scheme):
-        with pytest.raises(ParameterError) as exc:
-            analytic_report(scheme, params)
-        assert str(exc.value) == ("closed forms leave the float range at these powers and rates "
-                                  f"({cause} in _admission_strip)")
+        for _ in range(2):  # a term that raises is not kept, so the same error comes again
+            with pytest.raises(ParameterError) as exc:
+                analytic_report(scheme, params)
+            assert str(exc.value) == ("closed forms leave the float range at these powers and rates "
+                                      f"({cause} in _admission_strip)")
 
     def test_floor_with_underflowed_divisor(self):
         params = SystemParams(p0=1e-300, p1=1e-300, r0_hat=8.0, r1_hat=8.0)
@@ -458,11 +459,109 @@ class TestReportMatchesStandaloneForms:
             assert str(exc.value) == f"{text} for {scheme.value}"
 
 
+PUBLIC_SCHEME_FORMS = (analytic_report, case_ii_outage, total_outage, total_outage_high_snr,
+                       conditional_case_ii_outage, delay_limited_throughput)
+PUBLIC_FORMS = (rs_case_i_outage, rs_case_ii_outage, rs_case_iii_outage, rs_total_outage,
+                nh_sic_case_ii_outage, qos_sic_case_ii_outage, case_ii_outage_gap,
+                admission_probability, primary_outage_probability, qos_sic_outage_floor)
+# every public closed form, at every scheme, so the unknown-scheme errors are in too
+PUBLIC_CALLS = ([(f"{f.__name__}[{scheme.value}]", partial(f, scheme))
+                 for f in PUBLIC_SCHEME_FORMS for scheme in SchemeId]
+                + [(f.__name__, f) for f in PUBLIC_FORMS])
+
+
+def _repr_or_error(call, params):
+    try:
+        return repr(call(params))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(params: SystemParams) -> SystemParams:
+    """An equal but distinct params object, which no kept record belongs to."""
+    return SystemParams(params.p0, params.p1, params.r0_hat, params.r1_hat)
+
+
+def _uncached(call, params):
+    """call's repr or error on a fresh copy of params, with no record kept beforehand."""
+    analytic._last_point = None
+    return _repr_or_error(call, _fresh(params))
+
+
+class TestPointRecord:
+    """The closed forms keep the terms of the last params object; reusing them changes no value or error."""
+
+    # every 7th point of the point-eval grid, and the overflowing TestFloatRange corners
+    POINTS = ([make_params(a, b, r0, r1) for a in POINT_POWERS_DB for b in POINT_POWERS_DB
+               for r0 in POINT_RATES for r1 in POINT_RATES][::7]
+              + [SystemParams(p0=1e-30, p1=1e-100, r0_hat=1e-6, r1_hat=1e-6),
+                 SystemParams(p0=1e300, p1=1e-300, r0_hat=1.0, r1_hat=1.0)])
+
+    def test_shuffled_calls_equal_calls_on_fresh_params(self):
+        rng = np.random.default_rng(21)
+        raised = 0
+        for params in self.POINTS:
+            expected = {name: _uncached(call, params) for name, call in PUBLIC_CALLS}
+            for i in rng.permutation(len(PUBLIC_CALLS)):
+                name, call = PUBLIC_CALLS[i]
+                got = _repr_or_error(call, params)
+                assert got == expected[name], (name, params)
+                raised += isinstance(got, tuple)
+        assert raised > 0
+
+    def test_alternating_points_never_swap_values(self):
+        for a, b in zip(self.POINTS, self.POINTS[1:]):
+            expected = {p: [_uncached(call, p) for _, call in PUBLIC_CALLS] for p in (a, b)}
+            got = {a: [], b: []}
+            for _, call in PUBLIC_CALLS:
+                for p in (a, b):
+                    got[p].append(_repr_or_error(call, p))
+            assert got == expected, (a, b)
+
+    def test_only_the_last_point_is_kept(self):
+        a, b = self.POINTS[:2]
+        rs_total_outage(a)
+        record = analytic._point(a)
+        assert analytic._point(a) is record
+        rs_total_outage(b)
+        assert analytic._point(a) is not record  # a second pass over a grid computes every point again
+        assert analytic._point(_fresh(a)) is not analytic._point(a)
+
+    def test_nine_point_eval_calls_evaluate_five_strips(self, monkeypatch):
+        strips = []
+
+        def counted(*args):
+            strips.append(args)
+            return _scaled_strip(*args)
+
+        monkeypatch.setattr(analytic, "_scaled_strip", counted)
+        params = make_params(10.0, 13.0, 1.0, 1.5)
+        for scheme in CLOSED_FORM:
+            for f in (analytic_report, conditional_case_ii_outage, delay_limited_throughput):
+                f(scheme, params)
+        # admission and RS crossing strips, the first-clear strip, and QoS-SIC's two strips
+        assert len(strips) == 5
+
+
+def _mp_over_g0(g, lo, hi):
+    """Integral of exp(-y) * g(y) over g0 = y in [lo, hi] by mp.quad, at the working precision.
+
+    mp.quad stops on an absolute error, so the density is taken relative to
+    exp(-lo): unscaled, the integrals of size exp(-100) at p0 = p1 = -20 dB
+    came out wrong from their 9th digit on. An infinite range is taken in
+    u = exp(lo - y), over [0, 1], which halves its cost.
+    """
+    from mpmath import mp
+
+    if hi == mp.inf:
+        return mp.exp(-lo) * mp.quad(lambda u: g(lo - mp.log(u)), [0, 1])
+    return mp.exp(-lo) * mp.quad(lambda y: mp.exp(lo - y) * g(y), [lo, hi])
+
+
 def _mp_case_ii_outage(scheme: SchemeId, params: SystemParams, conditional: bool):
     """The scheme's case-II outage event integrated at 30 digits: the g1 interval in closed form, g0 by mp.quad.
 
-    conditional divides by the admission probability, with both sides
-    multiplied by exp(eta0) so neither underflows.
+    conditional divides by the admission probability, which does not underflow in mpmath.
     """
     from mpmath import mp
 
@@ -480,29 +579,20 @@ def _mp_case_ii_outage(scheme: SchemeId, params: SystemParams, conditional: bool
             if scheme is SchemeId.QOS_SIC:
                 # the QoS kink: the interval closes here, or never once eps0*eps1 >= 1
                 hi = hi / (1 - eps0 * eps1) if eps0 * eps1 < 1 else mp.inf
-        shift = eta0 if conditional else 0
-
-        def integrand(y):
-            return mp.exp(shift - y) * (mp.exp(-(p0 * y / eps0 - 1) / p1) - mp.exp(-upper(y)))
-
-        # the integrand decays on scales from below 1 to hundreds; with the
-        # endpoints alone, mp.quad is off by 5% at p0 = p1 = -20 dB on this grid
-        points = sorted({eta0 + d for d in (0, 0.5, 2, 8, 30, 100, 300) if eta0 + d < hi} | {hi})
-        value = mp.quad(integrand, points)
+        value = _mp_over_g0(lambda y: mp.exp(-(p0 * y / eps0 - 1) / p1) - mp.exp(-upper(y)), eta0, hi)
         if conditional:
             k = p1 * eta0
-            value /= k / (1 + k)
+            value /= mp.exp(-eta0) * k / (1 + k)
         return value
 
 
 class TestRelativeAccuracy:
-    """Case-II closed forms against mpmath, to a relative bound that holds in the tails.
+    """Closed forms against mpmath, to a relative bound that holds in the tails.
 
     The grid spans -20..60 dB on each power and r in {0.25, 1, 4}, taken with
-    a stride over (point, scheme) pairs to keep the run short; it includes
-    cells whose admission probability underflows to 0. Below the smallest
-    normal float a double carries no relative precision, so that much
-    absolute slack is allowed.
+    a stride to keep the run short; it includes cells whose admission
+    probability underflows to 0. Below the smallest normal float a double
+    carries no relative precision, so that much absolute slack is allowed.
     """
 
     def test_case_ii_and_conditional_within_1e_5(self):
@@ -521,3 +611,51 @@ class TestRelativeAccuracy:
             if admission_probability(params) == 0.0:
                 underflowing.add(scheme)
         assert underflowing == {SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC}
+
+    def test_rs_case_i_total_and_admission_within_1e_5(self):
+        # rs_case_iii_outage is left out: its 1 - exp(-eta0) cancels, so it is off by 5.6e-5
+        # at p0 = p1 = 60 dB, r0 = 1, r1 = 0.25; the expm1 fix moves figure CSV bytes and
+        # waits for a re-record of them. Every third point; the worst errors on the full
+        # grid (1.4e-8, 5.9e-10 and 4.6e-15 in turn) fall on it
+        pytest.importorskip("mpmath")
+        powers = (-20.0, 0.0, 20.0, 40.0, 60.0)
+        rates = (0.25, 1.0, 4.0)
+        for a, b, r0, r1 in list(itertools.product(powers, powers, rates, rates))[::3]:
+            params = make_params(a, b, r0, r1)
+            refs = _mp_rs_events(params)
+            for f in (rs_case_i_outage, rs_total_outage, admission_probability):
+                ref, value = refs[f.__name__], f(params)
+                assert abs(value - ref) <= 1e-5 * ref + sys.float_info.min, (f.__name__, params)
+
+
+def _mp_rs_events(params: SystemParams) -> dict:
+    """RS case-I and total outage and the admission probability, from their events at 30 digits.
+
+    Given g0 = y, U1 is admitted where g1 > (p0*y/eps0 - 1)/p1, which needs
+    y > eta0. RS is in outage where g1 is below eta1*(p0*y + 1) in case III
+    (y < eta0), below ((1+eps0)*(1+eps1) - 1 - p0*y)/p1 on the case-II strip
+    up to hi = eta0*(1+eps1), and below eta1 past it; case I is the part of
+    that outage below the admission threshold.
+    """
+    from mpmath import mp
+
+    with mp.workdps(30):
+        p0, p1 = mp.mpf(params.p0), mp.mpf(params.p1)
+        eps0, eps1 = mp.mpf(2) ** params.r0_hat - 1, mp.mpf(2) ** params.r1_hat - 1
+        eta0, eta1 = eps0 / p0, eps1 / p1
+        hi = eta0 * (1 + eps1)
+
+        def admitted_above(y):
+            return (p0 * y / eps0 - 1) / p1
+
+        def below(x):  # P{g1 < x(y)}
+            return lambda y: -mp.expm1(-x(y))
+
+        past_hi = _mp_over_g0(lambda y: -mp.expm1(-eta1), hi, mp.inf)
+        case_iii = _mp_over_g0(below(lambda y: eta1 * (p0 * y + 1)), 0, eta0)
+        strip = _mp_over_g0(below(lambda y: ((1 + eps0) * (1 + eps1) - 1 - p0 * y) / p1), eta0, hi)
+        return {
+            "rs_case_i_outage": _mp_over_g0(below(admitted_above), eta0, hi) + past_hi,
+            "rs_total_outage": case_iii + strip + past_hi,
+            "admission_probability": _mp_over_g0(lambda y: mp.exp(-admitted_above(y)), eta0, mp.inf),
+        }

@@ -1105,7 +1105,10 @@ class TestOwnerLifecycle:
 
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
     def test_ctrl_c_prints_one_traceback(self):
-        code = ("import sys, crnoma; p = crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0); "
+        # a pytest started in the background (as a & job) may hand its children SIGINT ignored;
+        # the child restores Python's own handler before it forks owners or prints ready
+        code = ("import signal, sys, crnoma; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                "p = crnoma.SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0); "
                 "crnoma.simulate_tally(p, crnoma.SamplerConfig(seed=1), 10_000, workers=2); "
                 "print('ready', flush=True)\n"
                 "while True: crnoma.simulate_tally(p, crnoma.SamplerConfig(seed=2), 4_000_000, workers=2)")

@@ -23,13 +23,15 @@ Every closed form is assembled from five terms, each written once:
 
 and one function, ``_case_ii_raw``, picks each scheme's case-II strips.
 
-Each term is evaluated at most once per point: the closed forms share one
-record (``_Point``) of the terms of the last ``SystemParams`` object they were
-called with, tested with ``is``. analytic_report, conditional_case_ii_outage
-and delay_limited_throughput of RS, NH-SIC and QoS-SIC at one point evaluate
-5 strips instead of 23. Only that last point is kept: nothing is stored on
-``SystemParams``, and a second pass over a grid computes every point again.
-A term that raises is not kept, so it raises the same error again.
+The closed forms share one record (``_Point``) of the terms of the last
+``SystemParams`` object they were called with, tested with ``is``. It computes
+the terms that cannot fail up front: exp(-eta0), exp(-eta0*(1+eps1) - eta1),
+the case-III clear term and QoS-SIC's strip end. The five strips (admission
+and first-clear to either strip end, and RS crossing) are evaluated on first
+use and kept; one that raises is not kept, so it raises the same error again.
+analytic_report, conditional_case_ii_outage and delay_limited_throughput of
+RS, NH-SIC and QoS-SIC at one point evaluate 5 strips instead of 23. Only the
+last point is kept, so a second pass over a grid computes every point again.
 
 Probabilities are clamped to [0, 1] only after checking the raw value lies in
 [-1e-9, 1 + 1e-9]; a worse violation raises instead of hiding a broken formula.
@@ -38,9 +40,9 @@ overflows math.exp, as at p0 = 1e300 with p1 = 1e-300, raises ParameterError.
 Where the admission probability underflows (eta0 above ~708), the conditional
 outage drops the factor exp(-eta0) that it shares with every case-II term.
 
-``analytic_report`` evaluates each case term once and returns the same
-values, and raises the same errors, as the standalone forms. Its result is a
-frozen, slotted dataclass.
+``analytic_report`` refuses a scheme without closed forms before it evaluates
+anything; otherwise it returns the same values, and raises the same errors,
+as the standalone forms. Its result is a frozen, slotted dataclass.
 """
 
 from __future__ import annotations
@@ -141,43 +143,30 @@ def _rs_crossing_strip(params: SystemParams, c: DerivedConstants, hi: float,
 
 
 class _Point:
-    """The terms of one parameter point, each evaluated on its first use and then kept.
+    """The terms of one parameter point: four computed up front, five strips on first use.
 
     hi = eta0*(1+eps1) is the strip end; shift is added to each strip's
-    log-scale. A term that raises keeps nothing, so the next use raises the
-    same error again.
+    log-scale. Every exp argument set here is <= 0, the expm1 argument is <= 0
+    or NaN, k >= 1 and 1 - eps0*eps1 > 0 where it divides, so _Point(params)
+    raises only where derive_constants does. A strip that raises keeps nothing.
     """
 
-    __slots__ = ("params", "c", "hi", "shift", "_exp_eta0", "_clear_end", "_case_iii",
+    __slots__ = ("params", "c", "hi", "shift", "exp_eta0", "clear_end", "case_iii", "qos_hi",
                  "_admission", "_first_clear", "_crossing", "_qos_admission", "_qos_first_clear")
 
     def __init__(self, params: SystemParams, shift: float = 0.0) -> None:
         self.params, self.shift = params, shift
         self.c = c = derive_constants(params)
         self.hi = c.eta0 * (1.0 + c.eps1)
-        self._exp_eta0 = self._clear_end = self._case_iii = None
+        self.exp_eta0 = math.exp(-c.eta0)  # P{g0 > eta0}
+        self.clear_end = math.exp(-self.hi - c.eta1)  # g0 past the strip end, U1 clearing eps1 alone
+        k = params.p0 * c.eta1 + 1.0
+        self.case_iii = math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k  # case III without outage
+        # QoS-SIC's strip end: hi/(1 - eps0*eps1), or infinity (None) once eps0*eps1 >= 1
+        product = c.eps0 * c.eps1
+        self.qos_hi = self.hi / (1.0 - product) if product < 1.0 else None
         self._admission = self._first_clear = self._crossing = None
         self._qos_admission = self._qos_first_clear = None
-
-    def exp_eta0(self) -> float:
-        """exp(-eta0) = P{g0 > eta0}."""
-        if self._exp_eta0 is None:
-            self._exp_eta0 = math.exp(-self.c.eta0)
-        return self._exp_eta0
-
-    def clear_end(self) -> float:
-        """exp(-hi - eta1): g0 past the strip end and U1 clearing eps1 alone."""
-        if self._clear_end is None:
-            self._clear_end = math.exp(-self.hi - self.c.eta1)
-        return self._clear_end
-
-    def case_iii(self) -> float:
-        """exp(-eta1) * (1 - exp(-eta0*k)) / k with k = p0*eta1 + 1: case III without outage."""
-        if self._case_iii is None:
-            c = self.c
-            k = self.params.p0 * c.eta1 + 1.0
-            self._case_iii = math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k
-        return self._case_iii
 
     def admission(self) -> float:
         if self._admission is None:
@@ -194,19 +183,14 @@ class _Point:
             self._crossing = _rs_crossing_strip(self.params, self.c, self.hi, self.shift)
         return self._crossing
 
-    def qos_hi(self) -> float | None:
-        """QoS-SIC's strip end: hi/(1 - eps0*eps1), or infinity (None) once eps0*eps1 >= 1."""
-        product = self.c.eps0 * self.c.eps1
-        return self.hi / (1.0 - product) if product < 1.0 else None
-
     def qos_admission(self) -> float:
         if self._qos_admission is None:
-            self._qos_admission = _admission_strip(self.params, self.c, self.qos_hi(), self.shift)
+            self._qos_admission = _admission_strip(self.params, self.c, self.qos_hi, self.shift)
         return self._qos_admission
 
     def qos_first_clear(self) -> float:
         if self._qos_first_clear is None:
-            self._qos_first_clear = _first_clear_strip(self.params, self.c, self.qos_hi(), self.shift)
+            self._qos_first_clear = _first_clear_strip(self.params, self.c, self.qos_hi, self.shift)
         return self._qos_first_clear
 
 
@@ -226,6 +210,12 @@ def _point(params: SystemParams) -> _Point:
     return point
 
 
+def _require_case_ii(scheme: SchemeId) -> None:
+    """Raise UnknownSchemeError for a scheme without a closed-form case-II outage."""
+    if scheme is not _RS and scheme is not _NH_SIC and scheme is not _QOS_SIC:
+        raise UnknownSchemeError(f"no closed-form case-II outage for {_token(scheme)}")
+
+
 def _case_ii_raw(scheme: SchemeId, point: _Point) -> float:
     """Unclamped case-II outage of one scheme times exp(point.shift).
 
@@ -236,8 +226,7 @@ def _case_ii_raw(scheme: SchemeId, point: _Point) -> float:
         return point.admission() - point.crossing()
     if scheme is _QOS_SIC:
         return point.qos_admission() - point.qos_first_clear()
-    if scheme is not _NH_SIC:
-        raise UnknownSchemeError(f"no closed-form case-II outage for {_token(scheme)}")
+    _require_case_ii(scheme)
     return point.admission() - point.first_clear()
 
 
@@ -258,15 +247,13 @@ def rs_case_ii_outage(params: SystemParams) -> float:
 def rs_case_i_outage(params: SystemParams) -> float:
     """P{tau > 0, p1*g1 <= tau, log2(1 + p1*g1) < target}."""
     point = _point(params)
-    raw = point.exp_eta0() - point.admission() - point.clear_end()
-    return _as_probability(raw, "rs_case_i_outage")
+    return _as_probability(point.exp_eta0 - point.admission() - point.clear_end, "rs_case_i_outage")
 
 
 def rs_case_iii_outage(params: SystemParams) -> float:
     """P{tau = 0, log2(1 + p1*g1/(p0*g0 + 1)) < target}."""
     point = _point(params)
-    raw = 1.0 - point.exp_eta0() - point.case_iii()
-    return _as_probability(raw, "rs_case_iii_outage")
+    return _as_probability(1.0 - point.exp_eta0 - point.case_iii, "rs_case_iii_outage")
 
 
 def rs_total_outage(params: SystemParams) -> float:
@@ -279,8 +266,7 @@ def rs_total_outage(params: SystemParams) -> float:
     The three per-case terms sum to this identically; tests pin the identity.
     """
     point = _point(params)
-    raw = 1.0 - point.clear_end() - point.crossing() - point.case_iii()
-    return _as_probability(raw, "rs_total_outage")
+    return _as_probability(1.0 - point.clear_end - point.crossing() - point.case_iii, "rs_total_outage")
 
 
 def qos_sic_case_ii_outage(params: SystemParams) -> float:
@@ -328,15 +314,14 @@ def case_ii_outage_gap(params: SystemParams) -> float:
     Equals nh_sic_case_ii_outage - rs_case_ii_outage identically.
     """
     point = _point(params)
-    raw = point.crossing() - point.first_clear()
-    return _as_probability(raw, "case_ii_outage_gap")
+    return _as_probability(point.crossing() - point.first_clear(), "case_ii_outage_gap")
 
 
 def admission_probability(params: SystemParams) -> float:
     """P{tau > 0 and p1*g1 > tau} = p1*eta0*exp(-eta0) / (1 + p1*eta0)."""
     point = _point(params)
     k = params.p1 * point.c.eta0
-    raw = k * point.exp_eta0() / (1.0 + k)
+    raw = k * point.exp_eta0 / (1.0 + k)
     return _as_probability(raw, "admission_probability")
 
 
@@ -409,16 +394,16 @@ class AnalyticReport:
 def analytic_report(scheme: SchemeId, params: SystemParams) -> AnalyticReport:
     """All closed-form outage terms of one scheme in a single pass.
 
-    Each case term is evaluated once. The NH-SIC and QoS-SIC total is
-    total_outage's own sum of those three values, so every field, and every
-    error raised, is the standalone form's.
+    A scheme without closed forms raises UnknownSchemeError before any term
+    is evaluated. Each case term is evaluated once. The NH-SIC and QoS-SIC
+    total is total_outage's own sum of those three values, so every field,
+    and every error raised, is the standalone form's.
     """
+    _require_case_ii(scheme)
     case_i = rs_case_i_outage(params)
-    case_ii = case_ii_outage(scheme, params)  # raises first for a scheme without closed forms
+    case_ii = case_ii_outage(scheme, params)
     case_iii = rs_case_iii_outage(params)
-    if scheme is _RS:
-        total = rs_total_outage(params)
-    else:
-        total = _as_probability(case_i + case_ii + case_iii, "total_outage", scheme)
+    total = (rs_total_outage(params) if scheme is _RS
+             else _as_probability(case_i + case_ii + case_iii, "total_outage", scheme))
     return AnalyticReport(scheme, case_i, case_ii, case_iii, total,
                           total_outage_high_snr(scheme, params))

@@ -294,12 +294,18 @@ class OutageEstimate:
 
 
 def _wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """The Wilson score interval, whose ends are exactly 0.0 at 0 successes and 1.0 at n.
+
+    There center - half and center + half equal 0 and 1 in exact arithmetic,
+    but rounding leaves them off by an ulp or so (5.55e-17 at 0 of 3).
+    """
     z2 = _Z95 * _Z95
     phat = successes / n
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2.0 * n)) / denom
     half = _Z95 * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else max(0.0, center - half),
+            1.0 if successes == n else min(1.0, center + half))
 
 
 def _bernoulli_estimate(scheme: SchemeId, metric: Metric, successes: int, n: int) -> OutageEstimate:

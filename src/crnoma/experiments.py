@@ -72,6 +72,10 @@ class SweepSpec:
             raise ParameterError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not isinstance(self.fixed, dict):
             raise ParameterError(f"fixed must be a mapping, got {self.fixed!r}")
+        for name, items in (("axis_values", self.axis_values), ("schemes", self.schemes),
+                            ("metrics", self.metrics)):
+            if isinstance(items, str):  # iterated, "05" would read as the axis values 0 and 5
+                raise ParameterError(f"{name} must be a list, not the string {items!r}")
         try:
             converted = dict(axis_values=tuple(_as_float("axis_values", v) for v in self.axis_values),
                              schemes=tuple(map(SchemeId, self.schemes)),

@@ -27,8 +27,8 @@ def db_to_linear(value_db: float) -> float:
 
 
 def _as_float(name: str, value: float) -> float:
-    """value as a float; a non-number, or a bool such as JSON true, raises ParameterError."""
-    if isinstance(value, bool):
+    """value as a float; a non-number, a bool (JSON true) or text such as '10' raises ParameterError."""
+    if isinstance(value, (bool, str, bytes, bytearray)):
         raise ParameterError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
@@ -145,15 +145,20 @@ def derive_constants(params: SystemParams) -> DerivedConstants:
     return params._constants
 
 
-def _derive_constants(params: SystemParams) -> DerivedConstants:
+def _sinr_threshold(name: str, rate: float) -> float:
+    """2^rate - 1; a rate whose threshold overflows or rounds to 0 raises ParameterError naming it."""
     try:
-        eps0 = 2.0 ** params.r0_hat - 1.0
-        eps1 = 2.0 ** params.r1_hat - 1.0
-    except OverflowError as exc:
-        raise ParameterError(f"target rate too large: {exc}") from None
-    for name, value in (("eps0", eps0), ("eps1", eps1)):
-        if not math.isfinite(value) or value <= 0.0:
-            raise ParameterError(f"derived constant {name} is not positive finite: {value!r}")
+        eps = 2.0 ** rate - 1.0
+    except OverflowError:
+        raise ParameterError(f"target rate too large: {name} = {rate!r}") from None
+    if eps <= 0.0:
+        raise ParameterError(f"target rate too small: {name} = {rate!r} rounds 2^{name} - 1 to {eps!r}")
+    return eps
+
+
+def _derive_constants(params: SystemParams) -> DerivedConstants:
+    eps0 = _sinr_threshold("r0_hat", params.r0_hat)
+    eps1 = _sinr_threshold("r1_hat", params.r1_hat)
     return DerivedConstants(eps0=eps0, eps1=eps1, eta0=eps0 / params.p0, eta1=eps1 / params.p1)
 
 

@@ -392,6 +392,14 @@ class TestFloatRange:
             assert str(exc.value) == ("closed forms leave the float range at these powers and rates "
                                       f"({cause} in _admission_strip)")
 
+    def test_point_record_builds_at_every_corner(self):
+        # the terms a _Point computes up front cannot fail, so building one raises only
+        # where derive_constants does; every corner here derives its constants
+        for p0, p1, r0, r1 in itertools.product(self.POWERS, self.POWERS, self.RATES, self.RATES):
+            point = _Point(SystemParams(p0=p0, p1=p1, r0_hat=r0, r1_hat=r1))
+            assert all(0.0 <= v <= 1.0 for v in (point.exp_eta0, point.clear_end, point.case_iii))
+            assert point.qos_hi is None or point.qos_hi >= point.hi
+
     def test_floor_with_underflowed_divisor(self):
         params = SystemParams(p0=1e-300, p1=1e-300, r0_hat=8.0, r1_hat=8.0)
         with pytest.raises(ParameterError, match=r"\(float division by zero in qos_sic_outage_floor\)"):
@@ -445,6 +453,20 @@ class TestReportMatchesStandaloneForms:
                             assert (got.scheme, got.pout_case_i, got.pout_case_ii, got.pout_case_iii,
                                     got.pout_total, got.pout_total_hi_snr) == (scheme, *forms)
         assert raised == 0 if not strict else raised > 0
+
+    @pytest.mark.parametrize("scheme", [SchemeId.CSI_SIC, SchemeId.OMA_PRIMARY])
+    def test_scheme_is_refused_before_any_term(self, monkeypatch, scheme):
+        from crnoma import UnknownSchemeError
+        # rs_case_i_outage is nan at this point; the report refuses the scheme instead
+        params = SystemParams(p0=1e-300, p1=1e-300, r0_hat=50.0, r1_hat=1e-6)
+        with pytest.raises(ProbabilityRangeError):
+            rs_case_i_outage(params)
+        for params in (params, make_params(10.0, 10.0, 1.0, 1.0)):
+            with monkeypatch.context() as m:
+                m.setattr(analytic, "_point", lambda params: pytest.fail("a term was evaluated"))
+                with pytest.raises(UnknownSchemeError) as exc:
+                    analytic_report(scheme, params)
+            assert str(exc.value) == f"no closed-form case-II outage for {scheme.value}"
 
     @pytest.mark.parametrize("scheme", [SchemeId.CSI_SIC, SchemeId.OMA_PRIMARY])
     def test_errors_name_the_scheme_token(self, scheme):

@@ -84,6 +84,16 @@ class TestOutage:
         assert code == 1 and out == ""
         assert err == "analytic: unavailable (no closed-form case-II outage for csi-sic)\n"
 
+    def test_csi_report_unavailable_where_rs_terms_fail(self, capsys):
+        # rs_case_i_outage is nan here; the scheme check comes first, and the simulation still runs
+        code, out, err = run_cli(capsys, "outage", "--engine", "both", "--scheme", "csi-sic",
+                                 "--p0-db", "-3000", "--p1-db", "-3000", "--r0", "50", "--r1", "1e-6",
+                                 "--samples", "1000")
+        assert code == 1
+        assert err == "analytic: unavailable (no closed-form case-II outage for csi-sic)\n"
+        assert out.count("\n") == 4 and all(line.startswith("sim scheme=csi-sic ")
+                                             for line in out.splitlines())
+
     def test_oma_sim_reports_primary(self, capsys):
         code, out, _ = run_cli(capsys, "outage", "--engine", "sim", "--scheme", "oma",
                                "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1",
@@ -164,6 +174,16 @@ class TestBoundaryErrors:
         assert code == 2 and err == f"crnoma: error: {error}\n"
         assert out.count("\n") == printed and out.startswith("analytic scheme=rs " if printed else "")
 
+    @pytest.mark.parametrize("r1, error", [
+        ("2000", "target rate too large: r1_hat = 2000.0"),
+        ("1e-300", "target rate too small: r1_hat = 1e-300 rounds 2^r1_hat - 1 to 0.0"),
+    ], ids=["too-large", "too-small"])
+    def test_rate_derivation_error_names_the_rate(self, capsys, r1, error):
+        code, out, err = run_cli(capsys, "outage", "--engine", "analytic", "--p0-db", "10",
+                                 "--p1-db", "10", "--r0", "1", "--r1", r1)
+        self.assert_one_error_line(code, out, err)
+        assert err == f"crnoma: error: {error}\n"
+
     @pytest.mark.parametrize("argv", [
         ("outage", "--engine", "both", "--p0-db", "10", "--p1-db", "10", "--r0", "1", "--r1", "1",
          "--samples", "1e3", "--seed", "-1"),
@@ -232,6 +252,11 @@ class TestBoundaryErrors:
          "fixed has keys ['ratio'] that axis TARGET_RATE_R1 does not read"),
         ({"fixed": {"r0": 1.0, "r1": 1.0}}, "fixed is missing ['ratio'] for axis P1_DB"),
         ({"schemes": ["rs", "rs"]}, "schemes lists ['rs'] more than once"),
+        ({"fixed": {"r0": "1.5", "r1": 1.0, "ratio": 1.0}}, "r0_hat must be a number, got '1.5'"),
+        ({"axis_values": ["10"]}, "axis_values must be a number, got '10'"),
+        ({"axis_values": "05"}, "axis_values must be a list, not the string '05'"),
+        ({"schemes": "rs"}, "schemes must be a list, not the string 'rs'"),
+        ({"metrics": "outage-total"}, "metrics must be a list, not the string 'outage-total'"),
     ])
     def test_bad_sweep_config_is_one_stderr_line(self, capsys, tmp_path, change, needle):
         config = {

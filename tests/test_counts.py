@@ -142,6 +142,10 @@ class TestSpecConversion:
         ({"metrics": ("outage",)}, "bad sweep config: 'outage' is not a valid Metric"),
         ({"axis_values": [10, "x"]}, "bad sweep config: axis_values must be a number, got 'x'"),
         ({"schemes": []}, "schemes and metrics must be nonempty"),
+        ({"axis_values": "05"}, "axis_values must be a list, not the string '05'"),
+        ({"schemes": "rs"}, "schemes must be a list, not the string 'rs'"),
+        ({"metrics": "outage-total"}, "metrics must be a list, not the string 'outage-total'"),
+        ({"axis_values": [10, "12"]}, "bad sweep config: axis_values must be a number, got '12'"),
     ])
     def test_a_direct_spec_is_checked_like_a_config(self, change, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):

@@ -147,6 +147,15 @@ class TestIntervals:
         assert 0.0 <= est.ci95_low <= est.mean <= est.ci95_high <= 1.0
         assert est.ci95_low < est.mean or est.mean == 0.0
 
+    def test_wilson_ends_are_exact_at_zero_and_all_successes(self):
+        # rounding used to leave a positive lower end at 0 successes (5.55e-17 at n = 3),
+        # an interval that excluded its own estimate, and an upper end below 1 at n of n
+        for n in range(1, 2001):
+            assert estimator._wilson_interval(0, n)[0] == 0.0
+            assert estimator._wilson_interval(n, n)[1] == 1.0
+            assert 0.0 < estimator._wilson_interval(0, n)[1] < 1.0
+            assert 0.0 < estimator._wilson_interval(n, n)[0] < 1.0
+
     def test_coverage_over_repeated_seeds(self):
         # 95% CI should cover the analytic value 90..99 times out of 100
         params = SystemParams(p0=10.0, p1=1.0, r0_hat=1.0, r1_hat=1.0)

@@ -68,14 +68,15 @@ class TestDerivedConstants:
 
     @pytest.mark.parametrize("name, bad", [
         ("p0", "x"), ("p1", None), ("r0_hat", [1.0]), ("r1_hat", 10**400), ("p0", True),
-    ], ids=["str", "none", "list", "huge-int", "bool"])
+        ("p0", "10"), ("r1_hat", " 1.5 "), ("p1", b"1"),
+    ], ids=["str", "none", "list", "huge-int", "bool", "numeric-str", "padded-str", "bytes"])
     def test_non_numeric_field_names_the_field(self, name, bad):
         fields = dict(p0=1.0, p1=1.0, r0_hat=1.0, r1_hat=1.0)
         fields[name] = bad
         with pytest.raises(ParameterError, match=f"^{name} must be a number"):
             SystemParams(**fields)
 
-    @pytest.mark.parametrize("name, bad", [("g0", "abc"), ("g1", None)])
+    @pytest.mark.parametrize("name, bad", [("g0", "abc"), ("g1", None), ("g0", "1.5"), ("g1", "inf")])
     def test_non_numeric_gain_names_the_field(self, name, bad):
         gains = dict(g0=1.0, g1=1.0)
         gains[name] = bad
@@ -85,6 +86,19 @@ class TestDerivedConstants:
     def test_overflowing_rate_raises(self):
         with pytest.raises(ParameterError):
             derive_constants(SystemParams(p0=1.0, p1=1.0, r0_hat=2000.0, r1_hat=1.0))
+
+    @pytest.mark.parametrize("rates, message", [
+        ((2000.0, 1.0), "target rate too large: r0_hat = 2000.0"),
+        ((1.0, 1024.0), "target rate too large: r1_hat = 1024.0"),
+        ((1e-300, 1.0), "target rate too small: r0_hat = 1e-300 rounds 2^r0_hat - 1 to 0.0"),
+        ((1.0, 1e-17), "target rate too small: r1_hat = 1e-17 rounds 2^r1_hat - 1 to 0.0"),
+    ])
+    def test_rate_derivation_error_names_the_rate(self, rates, message):
+        params = SystemParams(p0=1.0, p1=1.0, r0_hat=rates[0], r1_hat=rates[1])
+        for _ in range(2):  # a derivation that raises keeps nothing, so it raises again
+            with pytest.raises(ParameterError) as exc:
+                derive_constants(params)
+            assert str(exc.value) == message
 
     def test_negative_gain_raises(self):
         with pytest.raises(ParameterError):

@@ -147,8 +147,8 @@ class _Point:
 
     hi = eta0*(1+eps1) is the strip end; shift is added to each strip's
     log-scale. Every exp argument set here is <= 0, the expm1 argument is <= 0
-    or NaN, k >= 1 and 1 - eps0*eps1 > 0 where it divides, so _Point(params)
-    raises only where derive_constants does. A strip that raises keeps nothing.
+    or NaN, k >= 1 and 1 - eps0*eps1 > 0 where it divides, and params holds
+    its constants, so _Point(params) never raises. A strip that raises keeps nothing.
     """
 
     __slots__ = ("params", "c", "hi", "shift", "exp_eta0", "clear_end", "case_iii", "qos_hi",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import analytic
 from .channel import SamplerConfig
@@ -104,17 +105,20 @@ def _cmd_outage(args: argparse.Namespace) -> int:
     return status
 
 
-def _emit_result(result, fmt: str, out: str | None) -> None:
+def _run_and_emit(spec, fmt: str, out: str | None) -> int:
+    """Run the sweep, emit its rows and report its failed cells; 1 if any cell failed.
+
+    An --out whose directory does not exist is refused before any cell runs.
+    """
+    if out is not None and not Path(out).parent.is_dir():
+        raise ParameterError(f"cannot write --out {out}: {Path(out).parent} is not a directory")
+    result = run_sweep(spec)
     if not result.rows:
         print("no successful cells; nothing to emit", file=sys.stderr)
-        return
-    if out is None:
+    elif out is None:
         sys.stdout.write(render(result, fmt))
     else:
         emit(result, fmt, out)
-
-
-def _report_failures(result) -> int:
     for failure in result.failures:
         print(f"FAILED cell axis={failure.axis_value} scheme={failure.scheme.value} "
               f"metric={failure.metric.value} engine={failure.engine}: {failure.message}",
@@ -123,17 +127,12 @@ def _report_failures(result) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = load_spec(args.config)
-    result = run_sweep(spec)
-    _emit_result(result, args.format, args.out)
-    return _report_failures(result)
+    return _run_and_emit(load_spec(args.config), args.format, args.out)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     spec = figure_preset(args.name, n_samples=args.samples, seed=args.seed)
-    result = run_sweep(spec)
-    _emit_result(result, "csv", args.out)
-    return _report_failures(result)
+    return _run_and_emit(spec, "csv", args.out)
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
@@ -187,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ProbabilityRangeError, QuadratureError) as exc:
+    except (ParameterError, ProbabilityRangeError, QuadratureError, OSError) as exc:
+        # an OSError is emit's: --out could not be written
         print(f"crnoma: error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from call to call (see ``_owner_pool``): owner k of W tallies shards k,
 k + W, ..., drawing them itself, and the caller merges the shards' tallies
 in shard order. The pipes carry plain fields only: the job, pickled once
 for every owner (``_job_bytes``), and each tally back as one flat tuple
-(``_flat``). Pickling SystemParams with its cached constants, the tally
+(``_flat``). Pickling SystemParams with its derived constants, the tally
 dataclasses and SchemeId members took ~145 us of a ~835 us counts-only
 sweep cell. Threads had to retake the GIL between every two numpy calls,
 so two of them ran little faster than one; two processes share nothing.
@@ -311,7 +311,7 @@ def _wilson_interval(successes: int, n: int) -> tuple[float, float]:
 def _bernoulli_estimate(scheme: SchemeId, metric: Metric, successes: int, n: int) -> OutageEstimate:
     mean = successes / n
     se = math.sqrt(mean * (1.0 - mean) / n)
-    if successes < 100:
+    if min(successes, n - successes) < 100:  # Wald's interval collapses near 0 and near n
         lo, hi = _wilson_interval(successes, n)
     else:
         lo, hi = max(0.0, mean - _Z95 * se), min(1.0, mean + _Z95 * se)
@@ -554,7 +554,7 @@ def _job_bytes(job: _Job) -> bytes:
     """A job pickled as plain fields: the four parameters, the key, the schemes' values, the flags.
 
     Plain floats, ints and strings pickle and load in well under a
-    microsecond, where SystemParams (with its cached constants) and SchemeId
+    microsecond, where SystemParams (with its derived constants) and SchemeId
     members take several; the owner rebuilds them (see _owner_main).
     """
     params, key, schemes, with_rates, with_counts = job

@@ -33,7 +33,7 @@ from .errors import ParameterError, UnknownSchemeError
 from .estimator import (_SECONDARY_SCHEMES, Metric, _tally_products, _worker_count,
                         estimate_from_tally, simulate_tally)
 from .params import (SystemParams, _as_count, _as_float, _require_positive_finite, _slot_init,
-                     db_to_linear, derive_constants)
+                     db_to_linear)
 from .strategy import SchemeId
 
 AXES = ("P1_DB", "TARGET_RATE_R1")
@@ -106,7 +106,7 @@ class SweepSpec:
         # the only check of the points themselves: run_sweep trusts every one
         for value in self.axis_values:
             try:
-                derive_constants(self.params_at(value))
+                self.params_at(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"axis value {value!r} is not a valid point: {exc}") from None
 

@@ -6,7 +6,7 @@ CLI boundary only; the library API is linear throughout.
 
 The types are frozen dataclasses. DerivedConstants and ChannelRealization
 have __slots__ and no __dict__; SystemParams keeps a __dict__, which holds
-its derived constants once they are computed. ``_slot_init`` gives every
+the derived constants it computes when it is built. ``_slot_init`` gives every
 frozen, slotted value type of the package a faster ``__init__``.
 """
 
@@ -16,7 +16,6 @@ import inspect
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
 from types import MemberDescriptorType
 
 from .errors import ParameterError
@@ -115,12 +114,10 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("p0", "p1", "r0_hat", "r1_hat"):
             object.__setattr__(self, name, _require_positive_finite(name, getattr(self, name)))
-
-    @cached_property
-    def _constants(self) -> DerivedConstants:
-        # stored in the instance __dict__ on first success; a raising
-        # derivation stores nothing and raises again on the next call
-        return _derive_constants(self)
+        eps0 = _sinr_threshold("r0_hat", self.r0_hat)
+        eps1 = _sinr_threshold("r1_hat", self.r1_hat)
+        # in the instance __dict__, not a field: ==, hash and repr see the four fields only
+        object.__setattr__(self, "_constants", DerivedConstants(eps0, eps1, eps0 / self.p0, eps1 / self.p1))
 
 
 @_slot_init
@@ -138,9 +135,9 @@ def derive_constants(params: SystemParams) -> DerivedConstants:
     """Map target rates and powers to (eps0, eps1, eta0, eta1).
 
     eps_i = 2^r_i - 1 is the SINR a rate-r_i codeword needs; eta_i = eps_i / p_i
-    is the corresponding channel-gain threshold. The constants are derived once
-    per SystemParams instance, on first use, and the same object is returned
-    on every later call.
+    is the corresponding channel-gain threshold. A SystemParams derives them
+    when it is built, so a rate whose threshold is unusable is refused there,
+    and every call returns that same object.
     """
     return params._constants
 
@@ -154,12 +151,6 @@ def _sinr_threshold(name: str, rate: float) -> float:
     if eps <= 0.0:
         raise ParameterError(f"target rate too small: {name} = {rate!r} rounds 2^{name} - 1 to {eps!r}")
     return eps
-
-
-def _derive_constants(params: SystemParams) -> DerivedConstants:
-    eps0 = _sinr_threshold("r0_hat", params.r0_hat)
-    eps1 = _sinr_threshold("r1_hat", params.r1_hat)
-    return DerivedConstants(eps0=eps0, eps1=eps1, eta0=eps0 / params.p0, eta1=eps1 / params.p1)
 
 
 @_slot_init

@@ -393,8 +393,8 @@ class TestFloatRange:
                                       f"({cause} in _admission_strip)")
 
     def test_point_record_builds_at_every_corner(self):
-        # the terms a _Point computes up front cannot fail, so building one raises only
-        # where derive_constants does; every corner here derives its constants
+        # the terms a _Point computes up front cannot fail, and every corner here is a
+        # SystemParams, so its constants are derived: building a record never raises
         for p0, p1, r0, r1 in itertools.product(self.POWERS, self.POWERS, self.RATES, self.RATES):
             point = _Point(SystemParams(p0=p0, p1=p1, r0_hat=r0, r1_hat=r1))
             assert all(0.0 <= v <= 1.0 for v in (point.exp_eta0, point.clear_end, point.case_iii))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from crnoma import cli
 from crnoma.cli import main
 
 from conftest import src_env
@@ -282,6 +283,37 @@ class TestBoundaryErrors:
 
     def test_missing_sweep_config(self, capsys, tmp_path):
         self.assert_sweep_refused(capsys, tmp_path, tmp_path / "absent.json", "absent.json")
+
+    @pytest.mark.parametrize("command", ["figure", "sweep"])
+    def test_missing_out_directory_is_refused_before_the_sweep(self, capsys, monkeypatch, tmp_path,
+                                                               command):
+        swept = []
+        monkeypatch.setattr(cli, "run_sweep", swept.append)
+        if command == "figure":
+            argv = ("figure", "fig1a", "--samples", "1000")
+        else:
+            argv = ("sweep", "--config", str(self.one_point_config(tmp_path)))
+        out_path = tmp_path / "absent" / "x.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        self.assert_one_error_line(code, out, err)
+        assert err == (f"crnoma: error: cannot write --out {out_path}: "
+                       f"{out_path.parent} is not a directory\n")
+        assert swept == []
+
+    def test_out_naming_a_directory_is_one_error_line(self, capsys, tmp_path):
+        cfg = self.one_point_config(tmp_path)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path))
+        self.assert_one_error_line(code, out, err)
+        assert err.startswith(f"crnoma: error: could not write sweep result to {tmp_path}: ")
+
+    @staticmethod
+    def one_point_config(tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "axis": "P1_DB", "axis_values": [10.0], "fixed": {"r0": 1.0, "r1": 1.0, "ratio": 1.0},
+            "schemes": ["rs"], "metrics": ["outage-total"], "engine": "ANALYTIC",
+        }))
+        return cfg
 
 
 class TestFigureAndSweep:

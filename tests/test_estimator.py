@@ -156,6 +156,14 @@ class TestIntervals:
             assert 0.0 < estimator._wilson_interval(0, n)[1] < 1.0
             assert 0.0 < estimator._wilson_interval(n, n)[0] < 1.0
 
+    def test_wilson_near_all_successes(self):
+        # Wald's interval was taken from 100 successes on, so 1000 of 1000 read [1.0, 1.0]
+        for n in range(100, 2001):
+            for k in range(n - 99, n + 1):
+                est = estimator._bernoulli_estimate(SchemeId.RS, Metric.OUTAGE_TOTAL, k, n)
+                assert (est.ci95_low, est.ci95_high) == estimator._wilson_interval(k, n)
+            assert est.ci95_low < 1.0  # k = n
+
     def test_coverage_over_repeated_seeds(self):
         # 95% CI should cover the analytic value 90..99 times out of 100
         params = SystemParams(p0=10.0, p1=1.0, r0_hat=1.0, r1_hat=1.0)
@@ -1046,6 +1054,10 @@ while alive and time.monotonic() < deadline:
 print(json.dumps({"started": started, "alive": sorted(alive)}))
 """
 
+# a usable point whose tally raises _REFUSAL in test_owner_error_reaches_the_caller
+_MARKED = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=0.5)
+_REFUSAL = "the marked point is refused inside the tally"
+
 
 class TestOwnerLifecycle:
     """Owners end with their caller, report their errors, and survive neither a kill nor Ctrl-C quietly."""
@@ -1059,25 +1071,46 @@ class TestOwnerLifecycle:
         report = json.loads(proc.stdout.splitlines()[-1])
         assert len(report["started"]) == 2 and report["alive"] == []
 
+    @pytest.fixture
+    def marked_point_refused(self, monkeypatch):
+        """tally_population raises _REFUSAL at _MARKED, here and in every owner forked meanwhile.
+
+        The owners are stopped first, so the next call with two workers forks
+        owners that inherit the wrapper, and again at teardown, so that no
+        wrapped owner serves a later test.
+        """
+        tally = estimator.tally_population
+
+        def refusing(params, *args, **kwargs):
+            if params == _MARKED:
+                raise ParameterError(_REFUSAL)
+            return tally(params, *args, **kwargs)
+
+        estimator._stop_owners()
+        monkeypatch.setattr(estimator, "tally_population", refusing)
+        yield
+        estimator._stop_owners()
+
     @pytest.mark.parametrize("bad, schemes, error", [
-        # derived in each owner, from the parameters it rebuilds
-        (SystemParams(p0=10.0, p1=10.0, r0_hat=2000.0, r1_hat=1.0), tuple(SECONDARY), ParameterError),
+        # raised inside each owner, by its tally of the parameters it rebuilds
+        (_MARKED, tuple(SECONDARY), ParameterError),
         # refused in the caller, before any owner is asked, as the rule refuses it at one worker
         (SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0), ("bogus",), UnknownSchemeError),
     ], ids=["owner", "caller"])
-    def test_owner_error_reaches_the_caller(self, params_10db, bad, schemes, error):
-        sampler = SamplerConfig(seed=52)
+    def test_owner_error_reaches_the_caller(self, params_10db, marked_point_refused, bad, schemes,
+                                            error):
+        sampler, other = SamplerConfig(seed=52), SamplerConfig(seed=54)
         expected = simulate_tally(params_10db, sampler, 10_000, workers=1)
         simulate_tally(params_10db, sampler, 10_000, workers=2)
         pids = _owner_pids()
         with pytest.raises(error) as at_one:
-            simulate_tally(bad, sampler, 10_000, schemes, workers=1)
-        for _ in range(2):  # the second call finds the key kept
+            simulate_tally(bad, other, 10_000, schemes, workers=1)
+        for _ in range(2):  # the first call draws the owners' shards, the second finds them kept
             with pytest.raises(error) as at_two:
-                simulate_tally(bad, sampler, 10_000, schemes, workers=2)
+                simulate_tally(bad, other, 10_000, schemes, workers=2)
             assert type(at_two.value) is type(at_one.value) is error
             assert str(at_two.value) == str(at_one.value)
-        assert str(at_one.value).startswith(("target rate too large: ", "unknown scheme 'bogus'"))
+        assert str(at_one.value) in (_REFUSAL, "unknown scheme 'bogus'")
         assert simulate_tally(params_10db, sampler, 10_000, workers=2) == expected
         assert _owner_pids() == pids  # an error in the tally leaves the owners running
 

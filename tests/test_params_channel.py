@@ -94,10 +94,9 @@ class TestDerivedConstants:
         ((1.0, 1e-17), "target rate too small: r1_hat = 1e-17 rounds 2^r1_hat - 1 to 0.0"),
     ])
     def test_rate_derivation_error_names_the_rate(self, rates, message):
-        params = SystemParams(p0=1.0, p1=1.0, r0_hat=rates[0], r1_hat=rates[1])
-        for _ in range(2):  # a derivation that raises keeps nothing, so it raises again
+        for _ in range(2):  # the constants are derived as the params are built, every time
             with pytest.raises(ParameterError) as exc:
-                derive_constants(params)
+                SystemParams(p0=1.0, p1=1.0, r0_hat=rates[0], r1_hat=rates[1])
             assert str(exc.value) == message
 
     def test_negative_gain_raises(self):
@@ -106,31 +105,32 @@ class TestDerivedConstants:
 
 
 class TestConstantsMemo:
-    """derive_constants derives once per SystemParams instance and reuses the result."""
+    """A SystemParams derives its constants once, when it is built; derive_constants returns them."""
 
     @pytest.fixture
     def derivations(self, monkeypatch):
+        """(name, rate) of every threshold computed: a derivation computes r0_hat's, then r1_hat's."""
         calls = []
-        derive = crnoma.params._derive_constants
+        threshold = crnoma.params._sinr_threshold
 
-        def counting(params):
-            calls.append(params)
-            return derive(params)
+        def counting(name, rate):
+            calls.append((name, rate))
+            return threshold(name, rate)
 
-        monkeypatch.setattr(crnoma.params, "_derive_constants", counting)
+        monkeypatch.setattr(crnoma.params, "_sinr_threshold", counting)
         return calls
 
     def test_repeated_calls_return_same_object(self, derivations):
         p = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0)
         assert derive_constants(p) is derive_constants(p)
-        assert len(derivations) == 1
+        assert derivations == [("r0_hat", 1.0), ("r1_hat", 1.0)]
 
     def test_failing_derivation_raises_every_call(self, derivations):
-        p = SystemParams(p0=1.0, p1=1.0, r0_hat=2000.0, r1_hat=1.0)
-        for _ in range(3):
-            with pytest.raises(ParameterError):
-                derive_constants(p)
-        assert len(derivations) == 3
+        for _ in range(3):  # no instance exists to keep anything, so each attempt derives and raises
+            with pytest.raises(ParameterError) as exc:
+                SystemParams(p0=1.0, p1=1.0, r0_hat=2000.0, r1_hat=1.0)
+            assert str(exc.value) == "target rate too large: r0_hat = 2000.0"
+        assert derivations == [("r0_hat", 2000.0)] * 3
 
     def test_replace_gets_fresh_constants(self):
         p = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0)
@@ -174,7 +174,7 @@ class TestConstantsMemo:
         chan = ChannelRealization(g0=0.7, g1=1.3)
         for k in range(20):
             evaluate_outcome(tuple(SchemeId)[k % len(SchemeId)], p, chan)
-        assert derivations == [p]
+        assert derivations == [("r0_hat", 1.0), ("r1_hat", 1.0)]  # the one made as p was built
 
 
 # positional arguments of each type built by _slot_init; ChannelRealization's ints become floats

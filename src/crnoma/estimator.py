@@ -18,16 +18,19 @@ every block. Each test is counted once: the case-I and case-III outage
 tests that RS, NH-SIC and QoS-SIC share are counted once for all three.
 
 With more than one worker, shards run in forked shard-owner processes, kept
-from call to call (see ``_owner_pool``): owner k of W tallies shards k,
-k + W, ..., drawing them itself, and the caller merges the shards' tallies
-in shard order. The pipes carry plain fields only: the job, pickled once
-for every owner (``_job_bytes``), and each tally back as one flat tuple
-(``_flat``). Pickling SystemParams with its derived constants, the tally
-dataclasses and SchemeId members took ~145 us of a ~835 us counts-only
+from call to call (see ``_owner_pool``): owner k of W tallies the k-th of W
+contiguous runs of the nonempty shards, drawing them itself, so the owners'
+replies, taken in owner order, are in shard order, and the caller merges
+them in that order. A call runs on at most as many workers as it has
+nonempty shards, so no owner idles. The job is one tuple of plain fields,
+built once by simulate_tally and read by ``_own_tallies`` wherever it runs;
+the pipes carry it, pickled once for every owner, and each tally back as one
+flat tuple (``_flat``). Pickling SystemParams with its derived constants, the
+tally dataclasses and SchemeId members took ~145 us of a ~835 us counts-only
 sweep cell. Threads had to retake the GIL between every two numpy calls,
 so two of them ran little faster than one; two processes share nothing.
-With one worker, the calling process runs the same owner code
-(``_own_tallies``) itself.
+With one worker, the calling process runs ``_own_tallies`` on the same job
+itself.
 
 A tally holds only the products of the rule that its metrics read
 (``_tally_products``): the case and outage counts, the achieved-rate sums,
@@ -201,7 +204,7 @@ def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     if None in shapes or len(shapes[0]) != 1 or shapes[0] != shapes[1]:
         raise ParameterError(f"g0 and g1 must be 1-D arrays of one length, got shapes {shapes[0]} "
                              f"and {shapes[1]}")
-    return _tally_strips(params, g0, g1, schemes, with_counts, with_rates)
+    return _tally_strips(params, g0, g1, tuple(schemes), with_counts, with_rates)
 
 
 def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
@@ -338,9 +341,9 @@ def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
 
 
 _Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
-# what a shard owner is asked to tally: (params, (seed, stream_count, n_samples), schemes,
-# with_rates, with_counts); it travels to the owners as plain fields (see _job_bytes)
-_Job = tuple[SystemParams, tuple[int, int, int], tuple[SchemeId, ...], bool, bool]
+# what a call asks its shards' holders to tally, as plain fields: (p0, p1, r0_hat, r1_hat,
+# (seed, stream_count, n_samples), the schemes' values, with_rates, with_counts)
+_Job = tuple[float, float, float, float, tuple[int, int, int], tuple[str, ...], bool, bool]
 
 
 class _GainIndex:
@@ -416,7 +419,7 @@ class _Kept:
 
     def __init__(self, mine: tuple[tuple[int, int, int], int, int],
                  shards: Iterable[Iterable[_Block]]) -> None:
-        self.mine = mine  # (key, first, step)
+        self.mine = mine  # (key, k, nworkers)
         self.shards = tuple(tuple(blocks) for blocks in shards)  # one tuple of blocks per shard
         for blocks in self.shards:
             for g0, g1 in blocks:
@@ -445,13 +448,15 @@ def _draw(stream: GainStream, size: int) -> Iterator[_Block]:
 
 
 def _shard_blocks(seed: int, stream_count: int, n_samples: int,
-                  first: int, step: int) -> list[Iterator[_Block]]:
-    """Block iterators of the nonempty shards first, first + step, ...
+                  k: int, nworkers: int) -> list[Iterator[_Block]]:
+    """Block iterators of the k-th of nworkers contiguous runs of the nonempty shards.
 
-    Zero-size shards come last, so shard i uses stream i.
+    Zero-size shards come last, so shard i uses stream i. With nworkers at
+    most the nonempty shard count, every run holds at least one shard.
     """
     sizes = [size for size in _shard_sizes(n_samples, stream_count) if size > 0]
-    return [_draw(GainStream(seed, i), sizes[i]) for i in range(first, len(sizes), step)]
+    run = range(k * len(sizes) // nworkers, (k + 1) * len(sizes) // nworkers)
+    return [_draw(GainStream(seed, i), sizes[i]) for i in run]
 
 
 def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[SchemeId, ...],
@@ -462,20 +467,23 @@ def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[Sc
     return total
 
 
-def _own_tallies(job: _Job, first: int, step: int) -> list[PopulationTally]:
-    """Tally shards first, first + step, ... of a job: one tally per shard, in shard order.
+def _own_tallies(job: _Job, k: int, nworkers: int) -> list[PopulationTally]:
+    """Tally the k-th of nworkers contiguous runs of a job's shards: one tally per shard, in order.
 
     Owner k of W workers runs it with (k, W); a call with one worker runs it
-    in the calling process with (0, 1). A job whose key is kept tallies the
-    kept shards, and a counts-only one takes one pooled tally from their
-    index instead. Any other job releases the kept shards, draws its own and
-    tallies them on strips, keeping them if the key has at most
+    in the calling process with (0, 1). Either way it rebuilds the parameters
+    and the schemes from the job's plain fields. A job whose key is kept
+    tallies the kept shards, and a counts-only one takes one pooled tally from
+    their index instead. Any other job releases the kept shards, draws its own
+    and tallies them on strips, keeping them if the key has at most
     _KEEP_MAX_DRAWS draws; so a one-off call never builds an index. Every
     path gives the same counts and rate sums.
     """
     global _kept
-    params, key, schemes, with_rates, with_counts = job
-    mine = (key, first, step)
+    p0, p1, r0_hat, r1_hat, key, values, with_rates, with_counts = job
+    params = SystemParams(p0, p1, r0_hat, r1_hat)
+    schemes = tuple(map(_SCHEME_OF.__getitem__, values))
+    mine = (key, k, nworkers)
     kept = _kept  # read once: another thread of this process may replace it
     if kept is not None and kept.mine == mine:
         if with_counts and not with_rates:
@@ -483,7 +491,7 @@ def _own_tallies(job: _Job, first: int, step: int) -> list[PopulationTally]:
         shards = kept.shards
     else:
         _kept = None  # release the old draws before drawing the new ones
-        shards = _shard_blocks(*key, first, step)
+        shards = _shard_blocks(*key, k, nworkers)
         if key[2] <= _KEEP_MAX_DRAWS:
             _kept = kept = _Kept(mine, shards)
             shards = kept.shards
@@ -497,13 +505,18 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
     """Tally n_samples realizations across the sampler's substreams.
 
     with_counts and with_rates pick the tally's products, as in tally_population.
+    The call runs on min(workers, n_samples, stream_count) workers: no more
+    than it has nonempty shards.
     """
     n_samples = _as_count("n_samples", n_samples, 1)
-    nworkers = _worker_count(workers)
+    nworkers = min(_worker_count(workers), n_samples, sampler.stream_count)
+    schemes = tuple(schemes)
     for scheme in schemes:  # the rule's own refusal, before any draw at every worker count
         if not isinstance(scheme, SchemeId):
             raise UnknownSchemeError(f"unknown scheme {scheme!r}")
-    job = (params, (sampler.seed, sampler.stream_count, n_samples), schemes, with_rates, with_counts)
+    job = (params.p0, params.p1, params.r0_hat, params.r1_hat,
+           (sampler.seed, sampler.stream_count, n_samples),
+           tuple(dict.fromkeys(scheme.value for scheme in schemes)), with_rates, with_counts)
     shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, nworkers)
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for t in shard_tallies:
@@ -519,15 +532,14 @@ _owners_lock = threading.Lock()
 def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
     """Every shard's tally from the process's nworkers owners, in shard order.
 
-    The job is pickled once, as plain fields, and the same bytes go to every
-    owner. An exception that an owner raised is raised here, once every
-    owner has answered, so the next call starts from a quiet pipe.
+    The job is pickled once and the same bytes go to every owner. Owner k
+    holds the k-th contiguous run of shards, so the replies, owner by owner,
+    are in shard order. An exception that an owner raised is raised here,
+    once every owner has answered, so the next call starts from a quiet pipe.
     """
-    _, (_, stream_count, n_samples), schemes, with_rates, with_counts = job
-    nshards = min(n_samples, stream_count)  # the nonempty ones
-    payload = _job_bytes(job)
+    payload = pickle.dumps(job)
     with _owners_lock:  # one job at a time on the pipes
-        owners = _owner_pool(nworkers)[:nshards]
+        owners = _owner_pool(nworkers)
         try:
             for _, conn in owners:
                 conn.send_bytes(payload)
@@ -542,24 +554,9 @@ def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
     for ok, value in replies:
         if not ok:
             raise value
-    held = tuple(dict.fromkeys(schemes))  # a tally's schemes, in the order its reply lists them
-    if not with_rates:  # without rate sums, integer counts add up the same in any order
-        flats = [flat for _, owned in replies for flat in owned]
-    else:  # owner k holds shards k, k + nworkers, ...
-        flats = [replies[i % nworkers][1][i // nworkers] for i in range(nshards)]
-    return [_unflat(flat, held, with_counts, with_rates) for flat in flats]
-
-
-def _job_bytes(job: _Job) -> bytes:
-    """A job pickled as plain fields: the four parameters, the key, the schemes' values, the flags.
-
-    Plain floats, ints and strings pickle and load in well under a
-    microsecond, where SystemParams (with its derived constants) and SchemeId
-    members take several; the owner rebuilds them (see _owner_main).
-    """
-    params, key, schemes, with_rates, with_counts = job
-    return pickle.dumps((params.p0, params.p1, params.r0_hat, params.r1_hat, key,
-                         tuple(scheme.value for scheme in schemes), with_rates, with_counts))
+    *_, values, with_rates, with_counts = job
+    schemes = tuple(map(_SCHEME_OF.__getitem__, values))  # in the order each reply lists them
+    return [_unflat(flat, schemes, with_counts, with_rates) for _, owned in replies for flat in owned]
 
 
 def _flat(tally: PopulationTally) -> tuple:
@@ -585,9 +582,9 @@ def _owner_pool(nworkers: int) -> tuple:
     Owners are forked, daemonic processes, started on the first call with
     more than one worker; only then is multiprocessing imported (~5 ms).
     Starting two owners costs another ~7 ms (2 vCPUs), about one 10^6-draw
-    counts cell, so they are kept. A call with another worker count, or one
-    that finds an owner dead, stops the kept owners and forks new ones. Call
-    under _owners_lock.
+    counts cell, so they are kept. A call on another worker count (after
+    simulate_tally's cap), or one that finds an owner dead, stops the kept
+    owners and forks new ones. Call under _owners_lock.
     """
     global _owners
     if len(_owners) == nworkers and all(proc.is_alive() for proc, _ in _owners):
@@ -606,13 +603,13 @@ def _owner_pool(nworkers: int) -> tuple:
     return _owners
 
 
-def _owner_main(ours, theirs, first: int, step: int) -> None:
+def _owner_main(ours, theirs, k: int, nworkers: int) -> None:
     """An owner's life: answer each job with its shards' tallies until the caller's end closes.
 
-    A job comes as _job_bytes made it, and each tally goes back flat (see
-    _flat), in shard order. The at-fork hook has closed the caller's ends of
-    the earlier owners' pipes; closing this pipe's as well lets the caller's
-    exit, or death, read as EOF here.
+    A job comes pickled as simulate_tally built it, and each tally goes back
+    flat (see _flat), in shard order. The at-fork hook has closed the
+    caller's ends of the earlier owners' pipes; closing this pipe's as well
+    lets the caller's exit, or death, read as EOF here.
     """
     global _kept
     ours.close()
@@ -624,10 +621,7 @@ def _owner_main(ours, theirs, first: int, step: int) -> None:
         except EOFError:
             return
         try:
-            p0, p1, r0_hat, r1_hat, key, values, with_rates, with_counts = pickle.loads(payload)
-            schemes = tuple(map(_SCHEME_OF.__getitem__, values))
-            job = (SystemParams(p0, p1, r0_hat, r1_hat), key, schemes, with_rates, with_counts)
-            reply = (True, [_flat(tally) for tally in _own_tallies(job, first, step)])
+            reply = (True, [_flat(tally) for tally in _own_tallies(pickle.loads(payload), k, nworkers)])
         except Exception as exc:  # the caller raises it
             reply = (False, exc)
         theirs.send(reply)
@@ -685,10 +679,13 @@ def estimate_from_tally(scheme: SchemeId, metric: Metric, params: SystemParams,
                         tally: PopulationTally) -> OutageEstimate:
     """Derive one estimate from an existing tally (no further sampling).
 
-    A metric whose product the tally does not hold raises ValueError, and a
-    secondary scheme the tally does not cover raises UnknownSchemeError.
+    A tally of no draws, or one without the product that the metric reads,
+    raises ValueError; a secondary scheme the tally does not cover raises
+    UnknownSchemeError.
     """
     n = tally.n
+    if n == 0:
+        raise ValueError(f"{metric.value} needs at least one draw, but the tally holds none")
     if scheme is SchemeId.OMA_PRIMARY and metric not in (Metric.PRIMARY_OUTAGE, Metric.ADMISSION):
         raise UnknownSchemeError(f"{scheme.value} carries no secondary transmission; "
                                  f"{metric.value} undefined")

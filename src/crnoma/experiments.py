@@ -214,15 +214,14 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     closed form (CSI-SIC and the ergodic throughput are simulation-only);
     requesting engine ANALYTIC for such a cell records a failure instead.
     A bad worker count (argument or CRNOMA_WORKERS) is not a cell failure:
-    it raises ParameterError before any cell runs. Nor is a bad point: the
-    spec refused it when it was built.
+    whatever the engine, it raises ParameterError before any cell runs. Nor
+    is a bad point: the spec refused it when it was built.
     """
     result = SweepResult(spec=spec)
     want_analytic = spec.engine in ("ANALYTIC", "BOTH")
     want_mc = spec.engine in ("MONTE_CARLO", "BOTH")
     sampler = SamplerConfig(seed=spec.seed, stream_count=spec.stream_count)
-    if want_mc:
-        workers = _worker_count(workers)
+    workers = _worker_count(workers)
 
     cells = [(scheme, metric) for scheme in spec.schemes for metric in spec.metrics]
     with_counts, with_rates = _tally_products(spec.metrics)

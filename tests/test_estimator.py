@@ -526,15 +526,17 @@ class TestKeptDrawSet:
 
     def test_owner_keeps_only_its_shards(self):
         params = make_params(10.0, 10.0, 1.0, 1.0)
-        job = (params, (40, 5, 23_456), self.SCHEMES, True, True)
-        mine = estimator._own_tallies(job, 1, 2)  # owner 1 of 2: shards 1 and 3
+        job = (params.p0, params.p1, params.r0_hat, params.r1_hat, (40, 5, 23_456),
+               tuple(scheme.value for scheme in self.SCHEMES), True, True)
+        mine = estimator._own_tallies(job, 1, 2)  # owner 1 of 2: the second run, shards 2 to 4
         kept = estimator._kept
         assert kept.mine == ((40, 5, 23_456), 1, 2)
-        assert [sum(g0.size for g0, _ in blocks) for blocks in kept.shards] == [4691, 4691]
+        assert [sum(g0.size for g0, _ in blocks) for blocks in kept.shards] == [4691, 4691, 4691]
         assert mine == estimator._own_tallies(job, 1, 2)  # from the kept shards
         assert estimator._kept is kept and kept.index is None  # a rates job indexes nothing
         every = estimator._own_tallies(job, 0, 1)  # another layout draws its own shards
-        assert every[1::2] == mine and len(every) == 5
+        lo, hi = 1 * 5 // 2, 2 * 5 // 2
+        assert every[lo:hi] == mine and len(every) == 5
         assert estimator._kept.mine == ((40, 5, 23_456), 0, 1)
 
     @pytest.mark.parametrize("changed", [(41, 5, 23_456), (40, 6, 23_456), (40, 5, 23_457)])
@@ -902,6 +904,34 @@ class TestTallyProducts:
                                              "covering qos-sic$"):
             total.merge(PopulationTally())
 
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+    def test_tally_of_no_draws_is_refused(self, params_10db, metric):
+        g0, g1 = GainStream(1, 0).gains(1_000)
+        empty = tally_population(params_10db, np.empty(0), np.empty(0), with_rates=True)
+        primary = metric in (Metric.PRIMARY_OUTAGE, Metric.ADMISSION)
+        scheme = SchemeId.OMA_PRIMARY if primary else SchemeId.RS
+        with pytest.raises(ValueError, match=f"^{metric.value} needs at least one draw, but the tally "
+                                             f"holds none$"):
+            estimator.estimate_from_tally(scheme, metric, params_10db, empty)
+        part = tally_population(params_10db, g0, g1, with_rates=True)
+        empty.merge(part)  # still an accumulator
+        assert empty == part
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_tally_takes_one_shot_schemes(self, params_10db, empty_kept_set, workers):
+        sampler, schemes = SamplerConfig(seed=47), (SchemeId.CSI_SIC, SchemeId.RS)
+        expected = simulate_tally(params_10db, sampler, 1_000, schemes, True, workers)
+        got = simulate_tally(params_10db, sampler, 1_000, (s for s in schemes), True, workers)
+        assert got == expected and list(got.schemes) == list(schemes)
+
+    def test_tally_population_takes_one_shot_schemes_above_a_strip(self, params_10db):
+        g0, g1 = GainStream(1, 0).gains(50_000)
+        assert g0.size > estimator._STRIP  # so that the strips read the schemes more than once
+        schemes = (SchemeId.CSI_SIC, SchemeId.RS)
+        expected = tally_population(params_10db, g0, g1, schemes, True)
+        got = tally_population(params_10db, g0, g1, (s for s in schemes), True)
+        assert got == expected and list(got.schemes) == list(schemes)
+
     def test_mixed_batch_equals_each_metric_alone(self, params_10db, empty_kept_set):
         sampler, metrics = SamplerConfig(seed=50), [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC]
         mixed = estimate_batch(SECONDARY, params_10db, metrics, 20_000, sampler)
@@ -962,6 +992,19 @@ class TestShardPool:
         assert self.run(1) == expected
         assert set(seen) == {os.getpid()}  # tallied in the calling process
         assert _owner_pids() == pids and all(proc.is_alive() for proc, _ in estimator._owners)
+
+    def test_no_owner_idles(self, empty_kept_set):
+        import multiprocessing
+
+        params = make_params(10.0, 10.0, 1.0, 1.0)
+        # (sampler, n_samples, workers asked for, owners the call needs: its nonempty shards)
+        for sampler, n, workers, owners in [(SamplerConfig(seed=3, stream_count=2), 1_000, 4, 2),
+                                            (SamplerConfig(seed=3), 3, 4, 3),
+                                            (SamplerConfig(seed=3), 1, 2, 0)]:
+            expected = simulate_tally(params, sampler, n, workers=1)
+            assert simulate_tally(params, sampler, n, workers=workers) == expected
+            assert len(_owner_pids()) == len(multiprocessing.active_children()) == owners
+            estimator._stop_owners()
 
     def test_threads_switching_worker_counts_get_their_results(self):
         # each call may stop the owners that the other thread's last call used
@@ -1177,20 +1220,25 @@ class TestOwnerMessages:
     @pytest.mark.parametrize("with_counts, with_rates", [(True, False), (False, True), (True, True)],
                              ids=["counts", "rates", "both"])
     @pytest.mark.parametrize("kept", [True, False], ids=["kept", "one-off"])
-    def test_owners_equal_one_worker(self, monkeypatch, empty_kept_set, with_counts, with_rates, kept):
-        if not kept:
-            monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", 9_999)  # before any owner is forked
-        params, sampler = make_params(10.0, 13.0, 1.0, 1.5), SamplerConfig(seed=61, stream_count=7)
+    # fewer shards than some worker counts, and fewer draws than streams
+    @pytest.mark.parametrize("stream_count, n_samples", [(7, 10_000), (1, 10_000), (3, 10_000),
+                                                         (5, 10_000), (5, 3), (7, 4)])
+    def test_owners_equal_one_worker(self, monkeypatch, empty_kept_set, with_counts, with_rates, kept,
+                                     stream_count, n_samples):
+        if not kept:  # before any owner is forked
+            monkeypatch.setattr(estimator, "_KEEP_MAX_DRAWS", n_samples - 1)
+        params = make_params(10.0, 13.0, 1.0, 1.5)
+        sampler = SamplerConfig(seed=61, stream_count=stream_count)
 
         def run(workers):
-            return simulate_tally(params, sampler, 10_000, self.SCHEMES, with_rates, workers,
+            return simulate_tally(params, sampler, n_samples, self.SCHEMES, with_rates, workers,
                                   with_counts=with_counts)
 
         expected = run(1)
-        assert _kept_key() == ((61, 7, 10_000) if kept else None)
+        assert _kept_key() == ((61, stream_count, n_samples) if kept else None)
         assert list(expected.schemes) == [SchemeId.CSI_SIC, SchemeId.RS, SchemeId.OMA_PRIMARY,
                                           SchemeId.NH_SIC]
-        for workers in (2, 2, 3, 3):  # each count draws, then finds its key kept (if it is kept)
+        for workers in (2, 2, 3, 3, 5, 5):  # each count draws, then finds its key kept (if it is kept)
             got = run(workers)
             assert got == expected and list(got.schemes) == list(expected.schemes)
 

@@ -155,6 +155,22 @@ class TestRunSweep:
                           for v in spec.axis_values for s in spec.schemes for m in spec.metrics]
         assert {r.engine for r in result.rows} == {"ANALYTIC"}
 
+    @pytest.mark.parametrize("engine", ["ANALYTIC", "MONTE_CARLO", "BOTH"])
+    @pytest.mark.parametrize("workers, env, shown", [
+        (0, None, "workers must be an integer of at least 1, got 0"),
+        ("two", None, "workers must be an integer of at least 1, got 'two'"),
+        (None, "0", "CRNOMA_WORKERS must be an integer of at least 1, got 0"),
+    ], ids=["zero", "text", "environment"])
+    def test_bad_worker_count_raises_before_any_cell(self, monkeypatch, engine, workers, env, shown):
+        ran = []
+        monkeypatch.setattr(experiments, "_analytic_value", lambda *args: ran.append(args))
+        monkeypatch.setattr(experiments, "simulate_tally", lambda *args, **kwargs: ran.append(args))
+        if env is not None:
+            monkeypatch.setenv("CRNOMA_WORKERS", env)
+        with pytest.raises(ParameterError) as refused:
+            run_sweep(small_spec(engine=engine), workers=workers)
+        assert str(refused.value) == shown and ran == []
+
     @pytest.mark.parametrize("metrics, products", [
         ((Metric.THROUGHPUT_ERGODIC,), (False, True)),
         ((Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC), (True, True)),

@@ -47,8 +47,10 @@ class GainStream:
         """Draw n gain pairs as two float64 arrays (g0, g1), the rows of one (2, n) array.
 
         The transform runs in place on that array, so a block allocates it
-        and the uniforms, and no temporary per gain.
+        and the uniforms, and no temporary per gain. n must be a count, as
+        params._as_count checks it; 0 gives two empty arrays.
         """
+        n = _as_count("n", n, 0)
         u = self.rng.random((n, 2))
         g = np.empty((2, n))
         np.negative(u.T, out=g)

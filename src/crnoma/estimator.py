@@ -174,6 +174,14 @@ def _schemes_text(tally: PopulationTally) -> str:
     return ", ".join(s.value for s in tally.schemes) or "no scheme"
 
 
+def _as_flags(with_counts: bool, with_rates: bool) -> tuple[bool, bool]:
+    """The product flags as plain bools; any value but a bool or numpy.bool_ raises ParameterError."""
+    for name, flag in (("with_counts", with_counts), ("with_rates", with_rates)):
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ParameterError(f"{name} must be True or False, got {flag!r}")
+    return bool(with_counts), bool(with_rates)
+
+
 def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
                      schemes: tuple[SchemeId, ...] = _SECONDARY_SCHEMES,
                      with_rates: bool = False, *, with_counts: bool = True) -> PopulationTally:
@@ -204,7 +212,7 @@ def tally_population(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
     if None in shapes or len(shapes[0]) != 1 or shapes[0] != shapes[1]:
         raise ParameterError(f"g0 and g1 must be 1-D arrays of one length, got shapes {shapes[0]} "
                              f"and {shapes[1]}")
-    return _tally_strips(params, g0, g1, tuple(schemes), with_counts, with_rates)
+    return _tally_strips(params, g0, g1, tuple(schemes), *_as_flags(with_counts, with_rates))
 
 
 def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
@@ -312,13 +320,10 @@ def _wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def _bernoulli_estimate(scheme: SchemeId, metric: Metric, successes: int, n: int) -> OutageEstimate:
+    """Mean, standard error and Wilson's 95% interval; Wald's is erratic even at large n."""
     mean = successes / n
     se = math.sqrt(mean * (1.0 - mean) / n)
-    if min(successes, n - successes) < 100:  # Wald's interval collapses near 0 and near n
-        lo, hi = _wilson_interval(successes, n)
-    else:
-        lo, hi = max(0.0, mean - _Z95 * se), min(1.0, mean + _Z95 * se)
-    return OutageEstimate(scheme, metric, mean, se, lo, hi, n)
+    return OutageEstimate(scheme, metric, mean, se, *_wilson_interval(successes, n), n)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -490,7 +495,7 @@ def _own_tallies(job: _Job, k: int, nworkers: int) -> list[PopulationTally]:
             return [kept.indexed().tally(params, schemes)]
         shards = kept.shards
     else:
-        _kept = None  # release the old draws before drawing the new ones
+        _kept = kept = None  # release the old draws before drawing the new ones
         shards = _shard_blocks(*key, k, nworkers)
         if key[2] <= _KEEP_MAX_DRAWS:
             _kept = kept = _Kept(mine, shards)
@@ -509,6 +514,7 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
     than it has nonempty shards.
     """
     n_samples = _as_count("n_samples", n_samples, 1)
+    with_counts, with_rates = _as_flags(with_counts, with_rates)
     nworkers = min(_worker_count(workers), n_samples, sampler.stream_count)
     schemes = tuple(schemes)
     for scheme in schemes:  # the rule's own refusal, before any draw at every worker count
@@ -609,11 +615,11 @@ def _owner_main(ours, theirs, k: int, nworkers: int) -> None:
     A job comes pickled as simulate_tally built it, and each tally goes back
     flat (see _flat), in shard order. The at-fork hook has closed the
     caller's ends of the earlier owners' pipes; closing this pipe's as well
-    lets the caller's exit, or death, read as EOF here.
+    lets the caller's exit, or death, read as EOF here. Draws the caller kept
+    are inherited under its (key, 0, 1), which no owner's (key, k, W) equals,
+    so _own_tallies releases them before the owner's first draw.
     """
-    global _kept
     ours.close()
-    _kept = None  # the caller's draws; this owner keeps only its own shards
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to report
     while True:
         try:

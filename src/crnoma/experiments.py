@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import analytic
@@ -323,46 +323,41 @@ def parse_csv(text: str) -> list[dict]:
     return out
 
 
-# Figure presets. The outage and conditional-outage presets use target rates
+# Figure presets, one entry of SweepSpec fields per figure; every preset sweeps
+# _SECONDARY_SCHEMES. The outage and conditional-outage presets use target rates
 # with eps0*eps1 > 1 so the QoS-SIC/CSI-SIC outage floors are visible; the
 # throughput preset keeps the 1 BPCU default, and the target-rate preset pins
-# r0 = 1, p0 = 15 dB, p1 = 20 dB.
-_PRESET_BUILDERS = {
-    "fig1a": lambda: SweepSpec(axis="P1_DB", axis_values=range(0, 41, 2),
-                               fixed={"r0": 1.5, "r1": 1.5, "ratio": 1.0},
-                               schemes=_SECONDARY_SCHEMES, metrics=(Metric.OUTAGE_TOTAL,)),
-    "fig1b": lambda: SweepSpec(axis="P1_DB", axis_values=range(0, 41, 2),
-                               fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
-                               schemes=_SECONDARY_SCHEMES, metrics=(Metric.OUTAGE_TOTAL,)),
-    # conditional sweep starts at 10 dB: with p0 = p1/10, the case-II event is
-    # too rare below that for a desk-scale conditional estimate
-    "fig2a": lambda: SweepSpec(axis="P1_DB", axis_values=range(10, 41, 2),
-                               fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
-                               schemes=_SECONDARY_SCHEMES,
-                               metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
-    "fig2b": lambda: SweepSpec(axis="TARGET_RATE_R1",
-                               axis_values=[round(0.2 * k, 10) for k in range(1, 21)],
-                               fixed={"r0": 1.0, "p0_db": 15.0, "p1_db": 20.0},
-                               schemes=_SECONDARY_SCHEMES,
-                               metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
-    "fig3": lambda: SweepSpec(axis="P1_DB", axis_values=range(0, 41, 2),
-                              fixed={"r0": 1.0, "r1": 1.0, "ratio": 0.1},
-                              schemes=_SECONDARY_SCHEMES,
-                              metrics=(Metric.THROUGHPUT_DELAY_LIMITED,)),
+# r0 = 1, p0 = 15 dB, p1 = 20 dB. The conditional sweep fig2a starts at 10 dB:
+# with p0 = p1/10, the case-II event is too rare below that for a desk-scale
+# conditional estimate.
+_PRESETS = {
+    "fig1a": dict(axis="P1_DB", axis_values=range(0, 41, 2),
+                  fixed={"r0": 1.5, "r1": 1.5, "ratio": 1.0}, metrics=(Metric.OUTAGE_TOTAL,)),
+    "fig1b": dict(axis="P1_DB", axis_values=range(0, 41, 2),
+                  fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1}, metrics=(Metric.OUTAGE_TOTAL,)),
+    "fig2a": dict(axis="P1_DB", axis_values=range(10, 41, 2),
+                  fixed={"r0": 1.5, "r1": 1.5, "ratio": 0.1},
+                  metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
+    "fig2b": dict(axis="TARGET_RATE_R1", axis_values=[round(0.2 * k, 10) for k in range(1, 21)],
+                  fixed={"r0": 1.0, "p0_db": 15.0, "p1_db": 20.0},
+                  metrics=(Metric.OUTAGE_CASE_II_CONDITIONAL,)),
+    "fig3": dict(axis="P1_DB", axis_values=range(0, 41, 2),
+                 fixed={"r0": 1.0, "r1": 1.0, "ratio": 0.1},
+                 metrics=(Metric.THROUGHPUT_DELAY_LIMITED,)),
 }
 
-PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def figure_preset(name: str, n_samples: int | None = None, seed: int | None = None) -> SweepSpec:
-    """A ready-to-run SweepSpec for one of the named figure layouts."""
+    """A ready-to-run SweepSpec for one of the named figure layouts, built and checked once.
+
+    n_samples and seed, where given, replace the SweepSpec defaults.
+    """
     try:
-        spec = _PRESET_BUILDERS[name]()
+        preset = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}") from None
-    updates: dict = {}
-    if n_samples is not None:
-        updates["n_samples"] = n_samples
-    if seed is not None:
-        updates["seed"] = seed
-    return replace(spec, **updates)  # replace re-runs __post_init__, so overrides are validated
+    overrides = {key: value for key, value in (("n_samples", n_samples), ("seed", seed))
+                 if value is not None}
+    return SweepSpec(**preset, schemes=_SECONDARY_SCHEMES, **overrides)

@@ -11,7 +11,7 @@ import math
 from . import analytic
 from .channel import SamplerConfig
 from .estimator import Metric, estimate_batch
-from .params import SystemParams, db_to_linear
+from .params import SystemParams, _as_count, db_to_linear
 from .quadrature import case_ii_outage_quadrature
 from .strategy import SchemeId
 
@@ -52,37 +52,50 @@ def _check_quadrature() -> tuple[bool, str]:
     return worst <= 1e-9, f"max |closed-quadrature|={worst:.2e} (tol 1e-9)"
 
 
+# the normal approximation behind the 4.5 sigma limit needs this many expected events
+# and non-events at every target, as in the acceptance tests
+_MIN_EXPECTED_EVENTS = 20
+
+
 def _check_monte_carlo(samples: int, sampler: SamplerConfig) -> tuple[bool, str]:
+    points = {
+        "p0=10 dB, p1=10 dB, r0=1, r1=1": SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0),
+        "p0=15 dB, p1=20 dB, r0=1, r1=2": SystemParams(p0=db_to_linear(15.0), p1=db_to_linear(20.0),
+                                                       r0_hat=1.0, r1_hat=2.0),
+    }  # the first is the p0 = p1 singular branch
+    targets = {point: [
+        (SchemeId.RS, Metric.OUTAGE_CASE_I, analytic.rs_case_i_outage(params)),
+        (SchemeId.RS, Metric.OUTAGE_CASE_II, analytic.rs_case_ii_outage(params)),
+        (SchemeId.RS, Metric.OUTAGE_CASE_III, analytic.rs_case_iii_outage(params)),
+        (SchemeId.NH_SIC, Metric.OUTAGE_CASE_II, analytic.nh_sic_case_ii_outage(params)),
+        (SchemeId.QOS_SIC, Metric.OUTAGE_CASE_II, analytic.qos_sic_case_ii_outage(params)),
+        (SchemeId.RS, Metric.ADMISSION, analytic.admission_probability(params)),
+    ] for point, params in points.items()}
+    rare, point, scheme, metric = min(((min(p, 1.0 - p), point, scheme, metric)
+                                       for point, ts in targets.items() for scheme, metric, p in ts),
+                                      key=lambda target: target[0])
+    if rare * samples < _MIN_EXPECTED_EVENTS:
+        return False, (f"{scheme.value} {metric.value} at {point} needs --samples "
+                       f"{math.ceil(_MIN_EXPECTED_EVENTS / rare)} or more for "
+                       f"{_MIN_EXPECTED_EVENTS} expected events, not {samples}")
     worst = 0.0
-    configs = [
-        SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0),     # p0 = p1 singular branch
-        SystemParams(p0=db_to_linear(15.0), p1=db_to_linear(20.0), r0_hat=1.0, r1_hat=2.0),
-    ]
-    for params in configs:
-        targets = [
-            (SchemeId.RS, Metric.OUTAGE_CASE_I, analytic.rs_case_i_outage(params)),
-            (SchemeId.RS, Metric.OUTAGE_CASE_II, analytic.rs_case_ii_outage(params)),
-            (SchemeId.RS, Metric.OUTAGE_CASE_III, analytic.rs_case_iii_outage(params)),
-            (SchemeId.NH_SIC, Metric.OUTAGE_CASE_II, analytic.nh_sic_case_ii_outage(params)),
-            (SchemeId.QOS_SIC, Metric.OUTAGE_CASE_II, analytic.qos_sic_case_ii_outage(params)),
-            (SchemeId.RS, Metric.ADMISSION, analytic.admission_probability(params)),
-        ]
-        estimates = estimate_batch([s for s, _, _ in targets], params,
+    for point, params in points.items():
+        estimates = estimate_batch([s for s, _, _ in targets[point]], params,
                                    [Metric.OUTAGE_CASE_I, Metric.OUTAGE_CASE_II,
                                     Metric.OUTAGE_CASE_III, Metric.ADMISSION],
                                    samples, sampler)
         lookup = {(e.scheme, e.metric): e for e in estimates}
-        for scheme, metric, expected in targets:
+        for scheme, metric, expected in targets[point]:
             est = lookup[(scheme, metric)]
-            sigma = math.sqrt(expected * (1.0 - expected) / samples)
-            if sigma > 0.0:
-                worst = max(worst, abs(est.mean - expected) / sigma)
+            sigma = math.sqrt(expected * (1.0 - expected) / samples)  # > 0: checked above
+            worst = max(worst, abs(est.mean - expected) / sigma)
     # 4.5 sigma over 12 comparisons (6 targets x 2 configs) keeps the false-alarm rate ~8e-5
     return worst <= 4.5, f"max |z|={worst:.2f} over analytic targets (limit 4.5)"
 
 
 def run_selftest(samples: int = 1_000_000, seed: int = 2024) -> int:
-    sampler = SamplerConfig(seed=seed)  # a bad seed raises ParameterError before any check prints
+    # a bad sample count or seed raises ParameterError before any check prints
+    samples, sampler = _as_count("samples", samples, 1), SamplerConfig(seed=seed)
     checks = [
         ("identity: case decomposition and nh-rs gap", lambda: _check_identities()),
         ("oracle: quadrature vs closed form", lambda: _check_quadrature()),

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from crnoma import cli
+from crnoma import ParameterError, cli
 from crnoma.cli import main
+from crnoma.selftest import run_selftest
 
 from conftest import src_env
 
@@ -366,6 +367,30 @@ class TestSelftest:
         assert code == 0
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    def test_too_few_draws_fail_the_monte_carlo_check(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--samples", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("PASS identity: ")
+        assert lines[1].startswith("PASS oracle: quadrature vs closed form: ")
+        assert lines[2] == ("FAIL oracle: Monte Carlo vs closed form: rs outage-case-iii at "
+                            "p0=15 dB, p1=20 dB, r0=1, r1=2 needs --samples 14639 or more for 20 "
+                            "expected events, not 1")
+        assert len(lines) == 3
+
+    @pytest.mark.parametrize("samples", [0, True, 1.5], ids=repr)
+    def test_bad_sample_count_is_refused_before_any_check(self, capsys, samples):
+        message = f"samples must be an integer of at least 1, got {samples!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            run_selftest(samples=samples)
+        assert capsys.readouterr().out == ""
+
+    def test_the_draws_it_names_are_enough(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--samples", "14639")
+        assert code == 0 and out.count("PASS") == 3
+        code, out, _ = run_cli(capsys, "selftest", "--samples", "14638")
+        assert code == 1 and "needs --samples 14639 or more" in out
 
 
 def test_python_dash_m_runs_the_cli():

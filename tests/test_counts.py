@@ -1,6 +1,6 @@
 """Every count that enters the program passes one rule, at the point where it enters.
 
-A seed, a stream count or index, a sample count and a worker count are
+A seed, a stream count or index, a sample or draw count and a worker count are
 refused with a ParameterError naming the input unless they are integers in
 range (a bool, a float or a string is not), and a numpy integer is stored as
 a plain int. A SweepSpec converts its fields the same way however it is built.
@@ -103,8 +103,22 @@ def test_worker_count_environment_follows_the_same_rule(monkeypatch, text, shown
 
 
 def test_numpy_integers_draw_the_gains_of_their_ints():
-    ints, numpy_ints = GainStream(5, 1).gains(64), GainStream(np.uint64(5), np.int64(1)).gains(64)
-    assert all(np.array_equal(a, b) for a, b in zip(ints, numpy_ints))
+    ints = GainStream(5, 1).gains(64)
+    for n in (64, np.int64(64), np.uint64(64), np.int32(64)):
+        numpy_ints = GainStream(np.uint64(5), np.int64(1)).gains(n)
+        assert all(np.array_equal(a, b) for a, b in zip(ints, numpy_ints))
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "2", -1], ids=repr)
+def test_gains_refuses_a_draw_count_that_is_not_one(value):
+    message = f"n must be an integer of at least 0, got {value!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        GainStream(5, 1).gains(value)
+
+
+def test_gains_of_no_draws_are_two_empty_arrays():
+    g0, g1 = GainStream(5, 1).gains(0)
+    assert g0.shape == g1.shape == (0,)
 
 
 def test_save_spec_round_trips_numpy_counts(tmp_path):

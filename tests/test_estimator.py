@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -163,6 +164,13 @@ class TestIntervals:
                 est = estimator._bernoulli_estimate(SchemeId.RS, Metric.OUTAGE_TOTAL, k, n)
                 assert (est.ci95_low, est.ci95_high) == estimator._wilson_interval(k, n)
             assert est.ci95_low < 1.0  # k = n
+
+    @pytest.mark.parametrize("n", [200, 1000, 10**6])
+    def test_wilson_at_every_count(self, n):
+        # also where both counts reach 100, which took Wald's interval before
+        for k in sorted({0, 1, 99, 100, n // 3, n // 2, n - 100, n - 99, n - 1, n}):
+            est = estimator._bernoulli_estimate(SchemeId.RS, Metric.OUTAGE_TOTAL, k, n)
+            assert (est.ci95_low, est.ci95_high) == estimator._wilson_interval(k, n)
 
     def test_coverage_over_repeated_seeds(self):
         # 95% CI should cover the analytic value 90..99 times out of 100
@@ -562,16 +570,18 @@ class TestKeptDrawSet:
         expected = self.reference(params, 41, 5, 23_456, False)
         self.simulate(params, 40, 5, 23_456, False)
         assert _kept_key() == (40, 5, 23_456)
+        old = weakref.ref(estimator._kept.shards[0][0][0])
         kept_at_draw = []
         gains = GainStream.gains
 
         def counted(stream, n):
-            kept_at_draw.append(_kept_key())
+            kept_at_draw.append((_kept_key(), old() is not None))
             return gains(stream, n)
 
         monkeypatch.setattr(GainStream, "gains", counted)
         assert self.simulate(params, 41, 5, 23_456, False) == expected
-        assert len(kept_at_draw) == 5 * 5 and set(kept_at_draw) == {None}  # from the first block on
+        # from the first block on, and no other reference holds the old arrays either
+        assert len(kept_at_draw) == 5 * 5 and set(kept_at_draw) == {(None, False)}
         for workers in (2, 3):
             assert self.simulate(params, 41, 5, 23_456, False, workers=workers) == expected
 
@@ -916,6 +926,26 @@ class TestTallyProducts:
         part = tally_population(params_10db, g0, g1, with_rates=True)
         empty.merge(part)  # still an accumulator
         assert empty == part
+
+    @pytest.mark.parametrize("flag", ["with_rates", "with_counts"])
+    @pytest.mark.parametrize("value", ["yes", 1, None], ids=repr)
+    def test_product_flags_must_be_bools(self, params_10db, flag, value):
+        g0, g1 = GainStream(1, 0).gains(1_000)
+        message = f"^{flag} must be True or False, got {re.escape(repr(value))}$"
+        with pytest.raises(ParameterError, match=message):
+            tally_population(params_10db, g0, g1, **{flag: value})
+        with pytest.raises(ParameterError, match=message):
+            simulate_tally(params_10db, SamplerConfig(seed=47), 1_000, **{flag: value}, workers=1)
+
+    def test_numpy_bool_flags_are_stored_as_bools(self, params_10db):
+        g0, g1 = GainStream(1, 0).gains(1_000)
+        got = tally_population(params_10db, g0, g1, with_rates=np.True_, with_counts=np.True_)
+        assert type(got.has_rates) is bool and type(got.has_counts) is bool
+        assert got == tally_population(params_10db, g0, g1, with_rates=True)
+        total = simulate_tally(params_10db, SamplerConfig(seed=47), 1_000, with_rates=np.True_,
+                               workers=1)
+        assert type(total.has_rates) is bool
+        total.merge(got)  # a tally of the same products merges
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_simulate_tally_takes_one_shot_schemes(self, params_10db, empty_kept_set, workers):

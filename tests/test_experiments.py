@@ -260,6 +260,21 @@ class TestPresets:
         with pytest.raises(ParameterError, match=f"^{next(iter(override))} must be "):
             figure_preset("fig1a", **override)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("overrides", [{}, {"n_samples": 123, "seed": 456}],
+                             ids=["defaults", "overrides"])
+    def test_preset_is_built_and_checked_once(self, monkeypatch, name, overrides):
+        checks = []
+        post_init = SweepSpec.__post_init__
+
+        def counted(spec):
+            checks.append(spec)
+            post_init(spec)
+
+        monkeypatch.setattr(SweepSpec, "__post_init__", counted)
+        spec = figure_preset(name, **overrides)
+        assert checks == [spec]
+
     def test_fig2b_conditional_nondecreasing_analytic(self):
         spec = figure_preset("fig2b")
         # analytic rows only: drop the Monte Carlo engine for speed

@@ -22,7 +22,7 @@ from .quadrature import case_ii_outage_quadrature
 from .strategy import (SchemeId, benchmark_rate_nh_sic, benchmark_rate_qos_sic,
                        evaluate_outcome, rs_decide)
 
-_SCHEME_TOKENS = {s.value: s for s in SchemeId}
+_SCHEME_TOKENS = tuple(sorted(s.value for s in SchemeId))
 
 
 def _count(text: str) -> int:
@@ -62,7 +62,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     print(f"qos_sic_rate={benchmark_rate_qos_sic(params, chan)!r}")
     print(f"nh_sic_rate={benchmark_rate_nh_sic(params, chan)!r}")
     if args.scheme is not None:
-        scheme = _SCHEME_TOKENS[args.scheme]
+        scheme = SchemeId(args.scheme)
         outcome = evaluate_outcome(scheme, params, chan)
         print(f"scheme={scheme.value} secondary_rate={outcome.secondary_rate!r} "
               f"secondary_outage={outcome.secondary_outage} primary_outage={outcome.primary_outage}")
@@ -72,32 +72,28 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_outage(args: argparse.Namespace) -> int:
     params = _params_from(args)
     sampler = SamplerConfig(seed=args.seed)  # checks the seed before any output
-    scheme = _SCHEME_TOKENS[args.scheme]
+    scheme = SchemeId(args.scheme)
     status = 0
     if args.engine in ("analytic", "both"):
         if scheme is SchemeId.OMA_PRIMARY:
             print(f"analytic scheme=oma primary_outage={analytic.primary_outage_probability(params)!r}")
-            report = None
         else:
             try:
                 report = analytic.analytic_report(scheme, params)
             except UnknownSchemeError as exc:
                 print(f"analytic: unavailable ({exc})", file=sys.stderr)
                 status = 1
-                report = None
-        if report is not None:
-            print(f"analytic scheme={scheme.value} "
-                  f"pout_case_i={report.pout_case_i!r} pout_case_ii={report.pout_case_ii!r} "
-                  f"pout_case_iii={report.pout_case_iii!r} pout_total={report.pout_total!r} "
-                  f"pout_total_hi_snr={report.pout_total_hi_snr!r}")
-            if scheme is SchemeId.RS:
-                quad = case_ii_outage_quadrature(params)
-                print(f"quadrature pout_case_ii={quad!r}")
+            else:
+                print(f"analytic scheme={scheme.value} "
+                      f"pout_case_i={report.pout_case_i!r} pout_case_ii={report.pout_case_ii!r} "
+                      f"pout_case_iii={report.pout_case_iii!r} pout_total={report.pout_total!r} "
+                      f"pout_total_hi_snr={report.pout_total_hi_snr!r}")
+                if scheme is SchemeId.RS:
+                    print(f"quadrature pout_case_ii={case_ii_outage_quadrature(params)!r}")
     if args.engine in ("sim", "both"):
-        metrics = [Metric.OUTAGE_TOTAL, Metric.OUTAGE_CASE_I, Metric.OUTAGE_CASE_II,
-                   Metric.OUTAGE_CASE_III]
-        if scheme is SchemeId.OMA_PRIMARY:
-            metrics = [Metric.PRIMARY_OUTAGE]
+        metrics = ([Metric.PRIMARY_OUTAGE] if scheme is SchemeId.OMA_PRIMARY else
+                   [Metric.OUTAGE_TOTAL, Metric.OUTAGE_CASE_I, Metric.OUTAGE_CASE_II,
+                    Metric.OUTAGE_CASE_III])
         for est in estimate_batch([scheme], params, metrics, args.samples, sampler):
             print(f"sim scheme={scheme.value} metric={est.metric.value} mean={est.mean!r} "
                   f"std_error={est.std_error!r} ci95=[{est.ci95_low!r}, {est.ci95_high!r}] "
@@ -150,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(p_rate)
     p_rate.add_argument("--g0", type=float, required=True, help="primary channel gain")
     p_rate.add_argument("--g1", type=float, required=True, help="secondary channel gain")
-    p_rate.add_argument("--scheme", choices=sorted(_SCHEME_TOKENS), default=None)
+    p_rate.add_argument("--scheme", choices=_SCHEME_TOKENS, default=None)
     p_rate.set_defaults(func=_cmd_rate)
 
     p_out = sub.add_parser("outage", help="closed-form and/or simulated outage probabilities")
     _add_params_args(p_out)
     p_out.add_argument("--engine", choices=("analytic", "sim", "both"), default="both")
-    p_out.add_argument("--scheme", choices=sorted(_SCHEME_TOKENS), default="rs")
+    p_out.add_argument("--scheme", choices=_SCHEME_TOKENS, default="rs")
     p_out.add_argument("--samples", type=_count, default=1_000_000)
     p_out.add_argument("--seed", type=int, default=2024)
     p_out.set_defaults(func=_cmd_outage)

@@ -340,14 +340,9 @@ def _worker_count(workers: int | None) -> int:
     return _as_count(_WORKERS_ENV, env, 1)
 
 
-def _shard_sizes(n_samples: int, stream_count: int) -> list[int]:
-    base, rem = divmod(n_samples, stream_count)
-    return [base + (1 if i < rem else 0) for i in range(stream_count)]
-
-
 _Block = tuple[np.ndarray, np.ndarray]  # (g0, g1) gains of one block
 # what a call asks its shards' holders to tally, as plain fields: (p0, p1, r0_hat, r1_hat,
-# (seed, stream_count, n_samples), the schemes' values, with_rates, with_counts)
+# (seed, stream_count, n_samples), the schemes' values, with_counts, with_rates)
 _Job = tuple[float, float, float, float, tuple[int, int, int], tuple[str, ...], bool, bool]
 
 
@@ -456,16 +451,19 @@ def _shard_blocks(seed: int, stream_count: int, n_samples: int,
                   k: int, nworkers: int) -> list[Iterator[_Block]]:
     """Block iterators of the k-th of nworkers contiguous runs of the nonempty shards.
 
-    Zero-size shards come last, so shard i uses stream i. With nworkers at
-    most the nonempty shard count, every run holds at least one shard.
+    Shard i draws n_samples // stream_count realizations from stream i, one
+    more if i < n_samples % stream_count; zero-size shards come last and are
+    left out. With nworkers at most the nonempty shard count, every run holds
+    at least one shard.
     """
-    sizes = [size for size in _shard_sizes(n_samples, stream_count) if size > 0]
+    base, rem = divmod(n_samples, stream_count)
+    sizes = [base + (i < rem) for i in range(stream_count) if base or i < rem]
     run = range(k * len(sizes) // nworkers, (k + 1) * len(sizes) // nworkers)
     return [_draw(GainStream(seed, i), sizes[i]) for i in run]
 
 
 def _run_shard(params: SystemParams, blocks: Iterable[_Block], schemes: tuple[SchemeId, ...],
-               with_rates: bool, with_counts: bool) -> PopulationTally:
+               with_counts: bool, with_rates: bool) -> PopulationTally:
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for g0, g1 in blocks:
         total.merge(tally_population(params, g0, g1, schemes, with_rates, with_counts=with_counts))
@@ -485,7 +483,7 @@ def _own_tallies(job: _Job, k: int, nworkers: int) -> list[PopulationTally]:
     path gives the same counts and rate sums.
     """
     global _kept
-    p0, p1, r0_hat, r1_hat, key, values, with_rates, with_counts = job
+    p0, p1, r0_hat, r1_hat, key, values, with_counts, with_rates = job
     params = SystemParams(p0, p1, r0_hat, r1_hat)
     schemes = tuple(map(_SCHEME_OF.__getitem__, values))
     mine = (key, k, nworkers)
@@ -500,7 +498,7 @@ def _own_tallies(job: _Job, k: int, nworkers: int) -> list[PopulationTally]:
         if key[2] <= _KEEP_MAX_DRAWS:
             _kept = kept = _Kept(mine, shards)
             shards = kept.shards
-    return [_run_shard(params, blocks, schemes, with_rates, with_counts) for blocks in shards]
+    return [_run_shard(params, blocks, schemes, with_counts, with_rates) for blocks in shards]
 
 
 def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
@@ -520,10 +518,11 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
     for scheme in schemes:  # the rule's own refusal, before any draw at every worker count
         if not isinstance(scheme, SchemeId):
             raise UnknownSchemeError(f"unknown scheme {scheme!r}")
+    schemes = tuple(dict.fromkeys(schemes))  # each once, in the order first given
     job = (params.p0, params.p1, params.r0_hat, params.r1_hat,
            (sampler.seed, sampler.stream_count, n_samples),
-           tuple(dict.fromkeys(scheme.value for scheme in schemes)), with_rates, with_counts)
-    shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, nworkers)
+           tuple(scheme.value for scheme in schemes), with_counts, with_rates)
+    shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, schemes, nworkers)
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for t in shard_tallies:
         total.merge(t)
@@ -535,13 +534,14 @@ _owners: tuple = ()
 _owners_lock = threading.Lock()
 
 
-def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
+def _owner_tallies(job: _Job, schemes: tuple[SchemeId, ...], nworkers: int) -> list[PopulationTally]:
     """Every shard's tally from the process's nworkers owners, in shard order.
 
     The job is pickled once and the same bytes go to every owner. Owner k
     holds the k-th contiguous run of shards, so the replies, owner by owner,
     are in shard order. An exception that an owner raised is raised here,
     once every owner has answered, so the next call starts from a quiet pipe.
+    schemes are the job's, in the order each reply lists them.
     """
     payload = pickle.dumps(job)
     with _owners_lock:  # one job at a time on the pipes
@@ -560,8 +560,7 @@ def _owner_tallies(job: _Job, nworkers: int) -> list[PopulationTally]:
     for ok, value in replies:
         if not ok:
             raise value
-    *_, values, with_rates, with_counts = job
-    schemes = tuple(map(_SCHEME_OF.__getitem__, values))  # in the order each reply lists them
+    *_, with_counts, with_rates = job
     return [_unflat(flat, schemes, with_counts, with_rates) for _, owned in replies for flat in owned]
 
 
@@ -750,9 +749,8 @@ def estimate_batch(schemes: list[SchemeId], params: SystemParams, metrics: list[
         raise ParameterError(f"bad batch: {exc}") from None
     if not schemes or not metrics:
         raise ParameterError("schemes and metrics must be nonempty")
-    tally_schemes = tuple(dict.fromkeys(schemes))
     with_counts, with_rates = _tally_products(metrics)
-    tally = simulate_tally(params, sampler, n_samples, tally_schemes, with_rates, workers,
+    tally = simulate_tally(params, sampler, n_samples, schemes, with_rates, workers,
                            with_counts=with_counts)
     return [
         estimate_from_tally(scheme, metric, params, tally)

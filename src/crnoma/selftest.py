@@ -10,7 +10,7 @@ import math
 
 from . import analytic
 from .channel import SamplerConfig
-from .estimator import Metric, estimate_batch
+from .estimator import Metric, estimate_from_tally, simulate_tally
 from .params import SystemParams, _as_count, db_to_linear
 from .quadrature import case_ii_outage_quadrature
 from .strategy import SchemeId
@@ -80,13 +80,9 @@ def _check_monte_carlo(samples: int, sampler: SamplerConfig) -> tuple[bool, str]
                        f"{_MIN_EXPECTED_EVENTS} expected events, not {samples}")
     worst = 0.0
     for point, params in points.items():
-        estimates = estimate_batch([s for s, _, _ in targets[point]], params,
-                                   [Metric.OUTAGE_CASE_I, Metric.OUTAGE_CASE_II,
-                                    Metric.OUTAGE_CASE_III, Metric.ADMISSION],
-                                   samples, sampler)
-        lookup = {(e.scheme, e.metric): e for e in estimates}
+        tally = simulate_tally(params, sampler, samples, (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC))
         for scheme, metric, expected in targets[point]:
-            est = lookup[(scheme, metric)]
+            est = estimate_from_tally(scheme, metric, params, tally)
             sigma = math.sqrt(expected * (1.0 - expected) / samples)  # > 0: checked above
             worst = max(worst, abs(est.mean - expected) / sigma)
     # 4.5 sigma over 12 comparisons (6 targets x 2 configs) keeps the false-alarm rate ~8e-5
@@ -97,8 +93,8 @@ def run_selftest(samples: int = 1_000_000, seed: int = 2024) -> int:
     # a bad sample count or seed raises ParameterError before any check prints
     samples, sampler = _as_count("samples", samples, 1), SamplerConfig(seed=seed)
     checks = [
-        ("identity: case decomposition and nh-rs gap", lambda: _check_identities()),
-        ("oracle: quadrature vs closed form", lambda: _check_quadrature()),
+        ("identity: case decomposition and nh-rs gap", _check_identities),
+        ("oracle: quadrature vs closed form", _check_quadrature),
         ("oracle: Monte Carlo vs closed form", lambda: _check_monte_carlo(samples, sampler)),
     ]
     failed = 0

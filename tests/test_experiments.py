@@ -4,6 +4,7 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crnoma import (
@@ -305,6 +306,23 @@ class TestPresets:
 CSV_RECORD = Path(__file__).resolve().parents[1] / "bench" / "csv_sha256.json"
 
 
+def _numpy_build() -> str:
+    """numpy's version and its AVX-512 dispatch on this host: the gains' last bits depend on both.
+
+    np.log1p takes an AVX-512 kernel where numpy dispatches one and the C
+    library's elsewhere, and the two round differently. NPY_DISABLE_CPU_FEATURES
+    turns the dispatch off but leaves AVX512F set in the feature table, so the
+    dispatch targets are read, not the feature.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # numpy >= 2
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # numpy 1.24
+    avx512 = [name for name in __cpu_dispatch__
+              if ("AVX512" in name or name == "X86_V4") and __cpu_features__.get(name)]
+    return f"numpy {np.__version__}, AVX-512 dispatch {' '.join(avx512) or 'off'}"
+
+
 def test_figure_sweeps_share_one_draw_key():
     """Every preset, and the ergodic sweep on the fig3 axis, draws the key (seed, 16, 10^6).
 
@@ -322,4 +340,6 @@ def test_figure_csv_bytes_match_the_record():
     specs["fig3-ergodic"] = dataclasses.replace(specs["fig3"], metrics=(Metric.THROUGHPUT_ERGODIC,))
     digests = {name: hashlib.sha256(render(run_sweep(spec), "csv").encode()).hexdigest()
                for name, spec in specs.items()}
-    assert digests == json.loads(CSV_RECORD.read_text())["0"]
+    assert digests == json.loads(CSV_RECORD.read_text())["0"], (
+        "the record holds an AVX-512 host's bytes, which repeat only within one numpy build and "
+        f"SIMD dispatch class; this run: {_numpy_build()}")

@@ -35,7 +35,6 @@ from .errors import (
 from .estimator import (
     Metric,
     OutageEstimate,
-    estimate,
     estimate_batch,
     estimate_from_tally,
     simulate_tally,

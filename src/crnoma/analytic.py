@@ -56,6 +56,8 @@ from .errors import ParameterError, ProbabilityRangeError, UnknownSchemeError
 from .params import DerivedConstants, SystemParams, _slot_init, derive_constants
 from .strategy import _NH_SIC, _QOS_SIC, _RS, SchemeId
 
+# the schemes with closed forms; CSI-SIC is simulation-only
+_CLOSED_FORM_SCHEMES = (_RS, _NH_SIC, _QOS_SIC)
 _RANGE_SLACK = 1e-9
 # below this, width*(1+nu) is treated by series instead of the generic quotient
 _SERIES_CUTOFF = 1e-6
@@ -212,7 +214,7 @@ def _point(params: SystemParams) -> _Point:
 
 def _require_case_ii(scheme: SchemeId) -> None:
     """Raise UnknownSchemeError for a scheme without a closed-form case-II outage."""
-    if scheme is not _RS and scheme is not _NH_SIC and scheme is not _QOS_SIC:
+    if scheme not in _CLOSED_FORM_SCHEMES:
         raise UnknownSchemeError(f"no closed-form case-II outage for {_token(scheme)}")
 
 

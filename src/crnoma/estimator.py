@@ -101,7 +101,6 @@ class Metric(Enum):
 
 
 _SECONDARY_SCHEMES = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_SIC)
-_SCHEME_OF = {scheme.value: scheme for scheme in SchemeId}  # a job names its schemes by value
 
 
 @dataclass
@@ -485,7 +484,7 @@ def _own_tallies(job: _Job, k: int, nworkers: int) -> list[PopulationTally]:
     global _kept
     p0, p1, r0_hat, r1_hat, key, values, with_counts, with_rates = job
     params = SystemParams(p0, p1, r0_hat, r1_hat)
-    schemes = tuple(map(_SCHEME_OF.__getitem__, values))
+    schemes = tuple(map(SchemeId, values))
     mine = (key, k, nworkers)
     kept = _kept  # read once: another thread of this process may replace it
     if kept is not None and kept.mine == mine:
@@ -757,9 +756,3 @@ def estimate_batch(schemes: list[SchemeId], params: SystemParams, metrics: list[
         for scheme in schemes
         for metric in metrics
     ]
-
-
-def estimate(scheme: SchemeId, params: SystemParams, metric: Metric, n_samples: int,
-             sampler: SamplerConfig, workers: int | None = None) -> OutageEstimate:
-    """Monte Carlo estimate of one metric for one scheme."""
-    return estimate_batch([scheme], params, [metric], n_samples, sampler, workers)[0]

@@ -41,9 +41,6 @@ ENGINES = ("ANALYTIC", "MONTE_CARLO", "BOTH")
 # the `fixed` keys each axis reads in params_at
 _FIXED_KEYS = {"P1_DB": ("r0", "r1", "ratio"), "TARGET_RATE_R1": ("r0", "p0_db", "p1_db")}
 
-# schemes with closed forms; CSI-SIC is simulation-only
-_ANALYTIC_SCHEMES = frozenset({SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC})
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -190,7 +187,7 @@ def _analytic_value(scheme: SchemeId, metric: Metric, params: SystemParams) -> f
         return analytic.primary_outage_probability(params)
     if metric is Metric.ADMISSION:
         return analytic.admission_probability(params)
-    if scheme not in _ANALYTIC_SCHEMES:
+    if scheme not in analytic._CLOSED_FORM_SCHEMES:
         raise UnknownSchemeError(f"{scheme.value} has no closed form")
     if metric is Metric.OUTAGE_TOTAL:
         return analytic.total_outage(scheme, params)

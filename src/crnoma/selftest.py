@@ -80,7 +80,7 @@ def _check_monte_carlo(samples: int, sampler: SamplerConfig) -> tuple[bool, str]
                        f"{_MIN_EXPECTED_EVENTS} expected events, not {samples}")
     worst = 0.0
     for point, params in points.items():
-        tally = simulate_tally(params, sampler, samples, (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC))
+        tally = simulate_tally(params, sampler, samples, analytic._CLOSED_FORM_SCHEMES)
         for scheme, metric, expected in targets[point]:
             est = estimate_from_tally(scheme, metric, params, tally)
             sigma = math.sqrt(expected * (1.0 - expected) / samples)  # > 0: checked above

@@ -271,8 +271,8 @@ def test_criterion_6_property_suites():
     zs = []
     for scheme in (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC, SchemeId.CSI_SIC,
                    SchemeId.OMA_PRIMARY):
-        est = cn.estimate(scheme, params, Metric.PRIMARY_OUTAGE, PAIRED_DRAWS,
-                          SamplerConfig(seed=ACCEPTANCE_SEED))
+        est = cn.estimate_batch([scheme], params, [Metric.PRIMARY_OUTAGE], PAIRED_DRAWS,
+                                SamplerConfig(seed=ACCEPTANCE_SEED))[0]
         z = abs(est.mean - expected) / sigma
         zs.append(z)
         primary_ok = primary_ok and z <= 3.0

@@ -24,7 +24,6 @@ from crnoma import (
     SystemParams,
     UnknownSchemeError,
     admission_probability,
-    estimate,
     estimate_batch,
     rs_total_outage,
     simulate_tally,
@@ -48,18 +47,18 @@ def _z(est, expected):
 class TestAgainstAnalytic:
     def test_oma_primary_outage(self):
         params = SystemParams(p0=10.0, p1=1.0, r0_hat=1.0, r1_hat=1.0)
-        est = estimate(SchemeId.OMA_PRIMARY, params, Metric.PRIMARY_OUTAGE,
-                       1_000_000, SamplerConfig(seed=8))
+        est = estimate_batch([SchemeId.OMA_PRIMARY], params, [Metric.PRIMARY_OUTAGE],
+                             1_000_000, SamplerConfig(seed=8))[0]
         assert abs(_z(est, -math.expm1(-0.1))) < 3.0
 
     def test_rs_total_at_10db(self, params_10db):
-        est = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL,
-                       10_000_000, SamplerConfig(seed=9))
+        est = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL],
+                             10_000_000, SamplerConfig(seed=9))[0]
         assert abs(_z(est, rs_total_outage(params_10db))) < 3.0
 
     def test_admission(self, params_10db):
-        est = estimate(SchemeId.RS, params_10db, Metric.ADMISSION,
-                       1_000_000, SamplerConfig(seed=10))
+        est = estimate_batch([SchemeId.RS], params_10db, [Metric.ADMISSION],
+                             1_000_000, SamplerConfig(seed=10))[0]
         assert abs(_z(est, admission_probability(params_10db))) < 3.0
 
 
@@ -69,12 +68,6 @@ class TestBatchSemantics:
         rs, nh = estimate_batch([SchemeId.RS, SchemeId.NH_SIC], params,
                                 [Metric.OUTAGE_TOTAL], 1_000_000, SamplerConfig(seed=11))
         assert nh.mean >= rs.mean  # common random numbers: exact, not statistical
-
-    def test_degenerate_batch_equals_estimate(self, params_10db):
-        sampler = SamplerConfig(seed=12)
-        single = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 200_000, sampler)
-        batch = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 200_000, sampler)
-        assert batch == [single]
 
     def test_output_order_is_scheme_major(self, params_10db):
         out = estimate_batch([SchemeId.RS, SchemeId.QOS_SIC], params_10db,
@@ -114,28 +107,33 @@ class TestDeterminism:
     """Each call starts from an empty kept draw set, so every one of them draws afresh."""
 
     def test_same_seed_same_estimates(self, params_10db, empty_kept_set):
-        a = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=15))
+        a = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 500_000,
+                           SamplerConfig(seed=15))[0]
         empty_kept_set()
-        b = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=15))
+        b = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 500_000,
+                           SamplerConfig(seed=15))[0]
         assert a == b
 
     @pytest.mark.parametrize("metric", [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC])
     def test_worker_count_invariance(self, params_10db, metric, empty_kept_set):
         kwargs = dict(n_samples=500_000, sampler=SamplerConfig(seed=16))
-        a = estimate(SchemeId.RS, params_10db, metric, workers=1, **kwargs)
+        a = estimate_batch([SchemeId.RS], params_10db, [metric], workers=1, **kwargs)[0]
         empty_kept_set()
-        b = estimate(SchemeId.RS, params_10db, metric, workers=3, **kwargs)
+        b = estimate_batch([SchemeId.RS], params_10db, [metric], workers=3, **kwargs)[0]
         assert a == b  # bitwise, including the float rate sums
 
     def test_different_seeds_differ(self, params_10db):
-        a = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=17))
-        b = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, SamplerConfig(seed=18))
+        a = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 500_000,
+                           SamplerConfig(seed=17))[0]
+        b = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 500_000,
+                           SamplerConfig(seed=18))[0]
         assert a.mean != b.mean
 
 
 class TestIntervals:
     def test_ci_brackets_mean(self, params_10db):
-        est = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 100_000, SamplerConfig(seed=19))
+        est = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 100_000,
+                             SamplerConfig(seed=19))[0]
         assert est.ci95_low <= est.mean <= est.ci95_high
         assert est.std_error == pytest.approx(
             math.sqrt(est.mean * (1.0 - est.mean) / est.n_samples), rel=1e-12)
@@ -143,7 +141,8 @@ class TestIntervals:
     def test_wilson_branch_for_rare_events(self):
         # high SNR: a handful of outages in 1e5 draws
         params = make_params(35.0, 35.0, 1.0, 1.0)
-        est = estimate(SchemeId.RS, params, Metric.OUTAGE_TOTAL, 100_000, SamplerConfig(seed=20))
+        est = estimate_batch([SchemeId.RS], params, [Metric.OUTAGE_TOTAL], 100_000,
+                             SamplerConfig(seed=20))[0]
         assert est.mean * est.n_samples < 100
         assert 0.0 <= est.ci95_low <= est.mean <= est.ci95_high <= 1.0
         assert est.ci95_low < est.mean or est.mean == 0.0
@@ -178,8 +177,8 @@ class TestIntervals:
         expected = -math.expm1(-0.1)
         hits = 0
         for seed in range(100):
-            est = estimate(SchemeId.OMA_PRIMARY, params, Metric.PRIMARY_OUTAGE,
-                           10_000, SamplerConfig(seed=seed))
+            est = estimate_batch([SchemeId.OMA_PRIMARY], params, [Metric.PRIMARY_OUTAGE],
+                                 10_000, SamplerConfig(seed=seed))[0]
             hits += est.ci95_low <= expected <= est.ci95_high
         assert 90 <= hits <= 99
 
@@ -187,24 +186,26 @@ class TestIntervals:
 class TestConditionalAndThroughput:
     def test_conditional_uses_admission_denominator(self, params_10db):
         sampler = SamplerConfig(seed=21)
-        cond = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_CASE_II_CONDITIONAL,
-                        1_000_000, sampler)
-        uncond = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_CASE_II, 1_000_000, sampler)
-        adm = estimate(SchemeId.RS, params_10db, Metric.ADMISSION, 1_000_000, sampler)
+        cond = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_CASE_II_CONDITIONAL],
+                              1_000_000, sampler)[0]
+        uncond = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_CASE_II], 1_000_000,
+                                sampler)[0]
+        adm = estimate_batch([SchemeId.RS], params_10db, [Metric.ADMISSION], 1_000_000, sampler)[0]
         assert cond.n_samples == round(adm.mean * 1_000_000)
         assert cond.mean == pytest.approx(uncond.mean / adm.mean, rel=1e-12)
 
     def test_insufficient_conditioning_raises(self):
         params = SystemParams(p0=0.01, p1=10.0, r0_hat=6.0, r1_hat=1.0)  # admission ~ e^-6300
         with pytest.raises(InsufficientConditioningError):
-            estimate(SchemeId.RS, params, Metric.OUTAGE_CASE_II_CONDITIONAL,
-                     10_000, SamplerConfig(seed=22))
+            estimate_batch([SchemeId.RS], params, [Metric.OUTAGE_CASE_II_CONDITIONAL],
+                           10_000, SamplerConfig(seed=22))
 
     def test_delay_limited_matches_outage(self, params_10db):
         sampler = SamplerConfig(seed=23)
-        tput = estimate(SchemeId.RS, params_10db, Metric.THROUGHPUT_DELAY_LIMITED,
-                        500_000, sampler)
-        outage = estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 500_000, sampler)
+        tput = estimate_batch([SchemeId.RS], params_10db, [Metric.THROUGHPUT_DELAY_LIMITED],
+                              500_000, sampler)[0]
+        outage = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 500_000,
+                                sampler)[0]
         assert tput.mean == pytest.approx(params_10db.r1_hat * (1.0 - outage.mean), rel=1e-12)
 
     def test_ergodic_rate_ordering(self, params_10db):
@@ -216,8 +217,8 @@ class TestConditionalAndThroughput:
     def test_oma_rejects_secondary_metrics(self, params_10db):
         with pytest.raises(UnknownSchemeError, match=r"^oma carries no secondary transmission; "
                                                      r"outage-total undefined$"):
-            estimate(SchemeId.OMA_PRIMARY, params_10db, Metric.OUTAGE_TOTAL,
-                     1_000, SamplerConfig(seed=25))
+            estimate_batch([SchemeId.OMA_PRIMARY], params_10db, [Metric.OUTAGE_TOTAL],
+                           1_000, SamplerConfig(seed=25))
 
     def test_rejects_empty_batch(self, params_10db):
         # SweepSpec's wording and error type
@@ -233,9 +234,10 @@ class TestConditionalAndThroughput:
                                sampler, workers=1)
                 == estimate_batch([SchemeId.RS, SchemeId.CSI_SIC], params_10db,
                                   [Metric.OUTAGE_TOTAL, Metric.ADMISSION], 1000, sampler, workers=1))
-        assert (estimate("qos-sic", params_10db, "throughput-ergodic", 1000, sampler, workers=1)
-                == estimate(SchemeId.QOS_SIC, params_10db, Metric.THROUGHPUT_ERGODIC, 1000, sampler,
-                            workers=1))
+        assert (estimate_batch(["qos-sic"], params_10db, ["throughput-ergodic"], 1000, sampler,
+                               workers=1)
+                == estimate_batch([SchemeId.QOS_SIC], params_10db, [Metric.THROUGHPUT_ERGODIC], 1000,
+                                  sampler, workers=1))
         for schemes, metrics, bad in ((["rs", "rx"], ["outage-total"], "'rx' is not a valid SchemeId"),
                                       (["rs"], ["outage-totl"], "'outage-totl' is not a valid Metric")):
             with pytest.raises(ParameterError, match=f"^bad batch: {bad}$"):
@@ -243,7 +245,8 @@ class TestConditionalAndThroughput:
 
     def test_rejects_nonpositive_sample_count(self, params_10db):
         with pytest.raises(ValueError):
-            estimate(SchemeId.RS, params_10db, Metric.OUTAGE_TOTAL, 0, SamplerConfig(seed=1))
+            estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 0,
+                           SamplerConfig(seed=1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n_samples", [True, 1000.0, 1000.5, "100", 0])
@@ -965,7 +968,8 @@ class TestTallyProducts:
     def test_mixed_batch_equals_each_metric_alone(self, params_10db, empty_kept_set):
         sampler, metrics = SamplerConfig(seed=50), [Metric.OUTAGE_TOTAL, Metric.THROUGHPUT_ERGODIC]
         mixed = estimate_batch(SECONDARY, params_10db, metrics, 20_000, sampler)
-        alone = [estimate(s, params_10db, m, 20_000, sampler) for s in SECONDARY for m in metrics]
+        alone = [estimate_batch([s], params_10db, [m], 20_000, sampler)[0]
+                 for s in SECONDARY for m in metrics]
         assert mixed == alone
 
 

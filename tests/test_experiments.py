@@ -15,7 +15,7 @@ from crnoma import (
     SweepSpec,
     admission_probability,
     emit,
-    estimate,
+    estimate_batch,
     figure_preset,
     load_spec,
     render,
@@ -112,8 +112,8 @@ class TestRunSweep:
         by_engine = {r.engine: r for r in result.rows}
         params = spec.params_at(10.0)
         assert by_engine["ANALYTIC"].value == rs_total_outage(params)
-        direct = estimate(SchemeId.RS, params, Metric.OUTAGE_TOTAL, spec.n_samples,
-                          SamplerConfig(seed=spec.seed, stream_count=spec.stream_count))
+        direct = estimate_batch([SchemeId.RS], params, [Metric.OUTAGE_TOTAL], spec.n_samples,
+                                SamplerConfig(seed=spec.seed, stream_count=spec.stream_count))[0]
         assert by_engine["MONTE_CARLO"].value == direct.mean
         assert by_engine["MONTE_CARLO"].std_error == direct.std_error
 

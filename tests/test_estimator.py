@@ -69,6 +69,13 @@ class TestBatchSemantics:
                                 [Metric.OUTAGE_TOTAL], 1_000_000, SamplerConfig(seed=11))
         assert nh.mean >= rs.mean  # common random numbers: exact, not statistical
 
+    def test_degenerate_batch_equals_estimate(self, params_10db):
+        sampler = SamplerConfig(seed=12)
+        tally = simulate_tally(params_10db, sampler, 200_000, (SchemeId.RS,))
+        single = estimator.estimate_from_tally(SchemeId.RS, Metric.OUTAGE_TOTAL, params_10db, tally)
+        batch = estimate_batch([SchemeId.RS], params_10db, [Metric.OUTAGE_TOTAL], 200_000, sampler)
+        assert batch == [single]
+
     def test_output_order_is_scheme_major(self, params_10db):
         out = estimate_batch([SchemeId.RS, SchemeId.QOS_SIC], params_10db,
                              [Metric.OUTAGE_TOTAL, Metric.ADMISSION], 10_000,

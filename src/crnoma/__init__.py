@@ -51,13 +51,7 @@ from .experiments import (
     run_sweep,
     save_spec,
 )
-from .params import (
-    ChannelRealization,
-    DerivedConstants,
-    SystemParams,
-    db_to_linear,
-    derive_constants,
-)
+from .params import ChannelRealization, SystemParams, db_to_linear
 from .quadrature import case_ii_outage_quadrature
 from .strategy import (
     CaseLabel,

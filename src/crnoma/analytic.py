@@ -53,7 +53,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, ProbabilityRangeError, UnknownSchemeError
-from .params import DerivedConstants, SystemParams, _slot_init, derive_constants
+from .params import SystemParams, _slot_init
 from .strategy import _NH_SIC, _QOS_SIC, _RS, SchemeId
 
 # the schemes with closed forms; CSI-SIC is simulation-only
@@ -123,25 +123,22 @@ def _scaled_strip(log_scale: float, nu: float, lo: float, hi: float | None) -> f
 
 
 @_in_float_range
-def _admission_strip(params: SystemParams, c: DerivedConstants, hi: float | None,
-                     shift: float = 0.0) -> float:
+def _admission_strip(params: SystemParams, hi: float | None, shift: float = 0.0) -> float:
     """exp(1/p1) * J(1/(p1*eta0); eta0, hi): admitted with p1*g1 above tau, every scheme."""
-    return _scaled_strip(1.0 / params.p1 + shift, 1.0 / (params.p1 * c.eta0), c.eta0, hi)
+    return _scaled_strip(1.0 / params.p1 + shift, 1.0 / (params.p1 * params.eta0), params.eta0, hi)
 
 
 @_in_float_range
-def _first_clear_strip(params: SystemParams, c: DerivedConstants, hi: float | None,
-                       shift: float = 0.0) -> float:
+def _first_clear_strip(params: SystemParams, hi: float | None, shift: float = 0.0) -> float:
     """exp(-eta1) * J(p0*eta1; eta0, hi): U1 clears eps1 decoded before x0."""
-    return _scaled_strip(-c.eta1 + shift, params.p0 * c.eta1, c.eta0, hi)
+    return _scaled_strip(-params.eta1 + shift, params.p0 * params.eta1, params.eta0, hi)
 
 
 @_in_float_range
-def _rs_crossing_strip(params: SystemParams, c: DerivedConstants, hi: float,
-                       shift: float = 0.0) -> float:
+def _rs_crossing_strip(params: SystemParams, hi: float, shift: float = 0.0) -> float:
     """exp(-(eps0+eps1+eps0*eps1)/p1) * J(-p0/p1; eta0, hi), the strip RS's case-II rate clears."""
-    crossing = c.eps0 + c.eps1 + c.eps0 * c.eps1
-    return _scaled_strip(-crossing / params.p1 + shift, -params.p0 / params.p1, c.eta0, hi)
+    crossing = params.eps0 + params.eps1 + params.eps0 * params.eps1
+    return _scaled_strip(-crossing / params.p1 + shift, -params.p0 / params.p1, params.eta0, hi)
 
 
 class _Point:
@@ -150,49 +147,48 @@ class _Point:
     hi = eta0*(1+eps1) is the strip end; shift is added to each strip's
     log-scale. Every exp argument set here is <= 0, the expm1 argument is <= 0
     or NaN, k >= 1 and 1 - eps0*eps1 > 0 where it divides, and params holds
-    its constants, so _Point(params) never raises. A strip that raises keeps nothing.
+    its thresholds, so _Point(params) never raises. A strip that raises keeps nothing.
     """
 
-    __slots__ = ("params", "c", "hi", "shift", "exp_eta0", "clear_end", "case_iii", "qos_hi",
+    __slots__ = ("params", "hi", "shift", "exp_eta0", "clear_end", "case_iii", "qos_hi",
                  "_admission", "_first_clear", "_crossing", "_qos_admission", "_qos_first_clear")
 
     def __init__(self, params: SystemParams, shift: float = 0.0) -> None:
         self.params, self.shift = params, shift
-        self.c = c = derive_constants(params)
-        self.hi = c.eta0 * (1.0 + c.eps1)
-        self.exp_eta0 = math.exp(-c.eta0)  # P{g0 > eta0}
-        self.clear_end = math.exp(-self.hi - c.eta1)  # g0 past the strip end, U1 clearing eps1 alone
-        k = params.p0 * c.eta1 + 1.0
-        self.case_iii = math.exp(-c.eta1) * (-math.expm1(-c.eta0 * k)) / k  # case III without outage
+        self.hi = params.eta0 * (1.0 + params.eps1)
+        self.exp_eta0 = math.exp(-params.eta0)  # P{g0 > eta0}
+        self.clear_end = math.exp(-self.hi - params.eta1)  # g0 past the strip end, U1 clearing eps1 alone
+        k = params.p0 * params.eta1 + 1.0
+        self.case_iii = math.exp(-params.eta1) * (-math.expm1(-params.eta0 * k)) / k  # case III, no outage
         # QoS-SIC's strip end: hi/(1 - eps0*eps1), or infinity (None) once eps0*eps1 >= 1
-        product = c.eps0 * c.eps1
+        product = params.eps0 * params.eps1
         self.qos_hi = self.hi / (1.0 - product) if product < 1.0 else None
         self._admission = self._first_clear = self._crossing = None
         self._qos_admission = self._qos_first_clear = None
 
     def admission(self) -> float:
         if self._admission is None:
-            self._admission = _admission_strip(self.params, self.c, self.hi, self.shift)
+            self._admission = _admission_strip(self.params, self.hi, self.shift)
         return self._admission
 
     def first_clear(self) -> float:
         if self._first_clear is None:
-            self._first_clear = _first_clear_strip(self.params, self.c, self.hi, self.shift)
+            self._first_clear = _first_clear_strip(self.params, self.hi, self.shift)
         return self._first_clear
 
     def crossing(self) -> float:
         if self._crossing is None:
-            self._crossing = _rs_crossing_strip(self.params, self.c, self.hi, self.shift)
+            self._crossing = _rs_crossing_strip(self.params, self.hi, self.shift)
         return self._crossing
 
     def qos_admission(self) -> float:
         if self._qos_admission is None:
-            self._qos_admission = _admission_strip(self.params, self.c, self.qos_hi, self.shift)
+            self._qos_admission = _admission_strip(self.params, self.qos_hi, self.shift)
         return self._qos_admission
 
     def qos_first_clear(self) -> float:
         if self._qos_first_clear is None:
-            self._qos_first_clear = _first_clear_strip(self.params, self.c, self.qos_hi, self.shift)
+            self._qos_first_clear = _first_clear_strip(self.params, self.qos_hi, self.shift)
         return self._qos_first_clear
 
 
@@ -291,12 +287,11 @@ def qos_sic_outage_floor(params: SystemParams) -> float:
     eps0*eps1 >= 1 (a fixed-ratio power scaling leaves it unchanged), and 0
     otherwise: below the product-1 boundary the outage keeps decaying.
     """
-    c = derive_constants(params)
-    product = c.eps0 * c.eps1
+    product = params.eps0 * params.eps1
     if product < 1.0:
         return 0.0
     raw = (params.p0 * params.p1 * (product - 1.0)
-           / ((params.p0 * c.eps1 + params.p1) * (params.p0 + c.eps0 * params.p1)))
+           / ((params.p0 * params.eps1 + params.p1) * (params.p0 + params.eps0 * params.p1)))
     return _as_probability(raw, "qos_sic_outage_floor")
 
 
@@ -322,15 +317,14 @@ def case_ii_outage_gap(params: SystemParams) -> float:
 def admission_probability(params: SystemParams) -> float:
     """P{tau > 0 and p1*g1 > tau} = p1*eta0*exp(-eta0) / (1 + p1*eta0)."""
     point = _point(params)
-    k = params.p1 * point.c.eta0
+    k = params.p1 * params.eta0
     raw = k * point.exp_eta0 / (1.0 + k)
     return _as_probability(raw, "admission_probability")
 
 
 def primary_outage_probability(params: SystemParams) -> float:
     """P{g0 < eta0} = 1 - exp(-eta0), identical under every scheme."""
-    c = derive_constants(params)
-    return _as_probability(-math.expm1(-c.eta0), "primary_outage_probability")
+    return _as_probability(-math.expm1(-params.eta0), "primary_outage_probability")
 
 
 def conditional_case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
@@ -343,9 +337,8 @@ def conditional_case_ii_outage(scheme: SchemeId, params: SystemParams) -> float:
     denom = admission_probability(params)
     if denom >= sys.float_info.min:
         return _as_probability(case_ii_outage(scheme, params) / denom, "conditional_case_ii_outage")
-    c = derive_constants(params)
-    k = params.p1 * c.eta0
-    raw = _case_ii_raw(scheme, _Point(params, shift=c.eta0)) / (k / (1.0 + k))
+    k = params.p1 * params.eta0
+    raw = _case_ii_raw(scheme, _Point(params, shift=params.eta0)) / (k / (1.0 + k))
     return _as_probability(raw, "conditional_case_ii_outage")
 
 
@@ -367,11 +360,10 @@ def total_outage_high_snr(scheme: SchemeId, params: SystemParams) -> float:
     returned unchecked for every scheme: at low SNR it exceeds 1 (eta1 is
     18.92 at p1 = -20 dB, r1 = 0.25), where the approximation does not apply.
     """
-    c = derive_constants(params)
     if scheme is _RS or scheme is _NH_SIC:
-        return c.eta1
+        return params.eta1
     if scheme is _QOS_SIC:
-        return c.eta1 + qos_sic_outage_floor(params)
+        return params.eta1 + qos_sic_outage_floor(params)
     raise UnknownSchemeError(f"no high-SNR approximation for {_token(scheme)}")
 
 

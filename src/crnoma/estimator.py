@@ -25,7 +25,7 @@ them in that order. A call runs on at most as many workers as it has
 nonempty shards, so no owner idles. The job is one tuple of plain fields,
 built once by simulate_tally and read by ``_own_tallies`` wherever it runs;
 the pipes carry it, pickled once for every owner, and each tally back as one
-flat tuple (``_flat``). Pickling SystemParams with its derived constants, the
+flat tuple (``_flat``). Pickling SystemParams with its thresholds, the
 tally dataclasses and SchemeId members took ~145 us of a ~835 us counts-only
 sweep cell. Threads had to retake the GIL between every two numpy calls,
 so two of them ran little faster than one; two processes share nothing.
@@ -77,7 +77,7 @@ import numpy as np
 
 from .channel import GainStream, SamplerConfig
 from .errors import InsufficientConditioningError, ParameterError, UnknownSchemeError
-from .params import SystemParams, _as_count, _slot_init, derive_constants
+from .params import SystemParams, _as_count, _slot_init
 from .strategy import SchemeId, _Rule, _SchemeRule
 
 _BLOCK = 1 << 20  # realizations per vectorized block inside a shard
@@ -238,7 +238,7 @@ def _tally_strips(params: SystemParams, g0: np.ndarray, g1: np.ndarray,
 
 def _rule(params: SystemParams, g0: np.ndarray, g1: np.ndarray, outages: bool, rates: bool) -> _Rule:
     """The rule evaluated once on gain arrays, for _tally to count."""
-    return _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, outages, rates, np)
+    return _Rule(params, params.p0 * g0, params.p1 * g1, outages, rates, np)
 
 
 def _tally(rule: _Rule, n: int, schemes: tuple[SchemeId, ...], own_of, count) -> PopulationTally:
@@ -508,7 +508,8 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
 
     with_counts and with_rates pick the tally's products, as in tally_population.
     The call runs on min(workers, n_samples, stream_count) workers: no more
-    than it has nonempty shards.
+    than it has nonempty shards. Where os.fork is missing (Windows), there
+    are no owners, and every call runs on one worker.
     """
     n_samples = _as_count("n_samples", n_samples, 1)
     with_counts, with_rates = _as_flags(with_counts, with_rates)
@@ -521,7 +522,8 @@ def simulate_tally(params: SystemParams, sampler: SamplerConfig, n_samples: int,
     job = (params.p0, params.p1, params.r0_hat, params.r1_hat,
            (sampler.seed, sampler.stream_count, n_samples),
            tuple(scheme.value for scheme in schemes), with_counts, with_rates)
-    shard_tallies = _own_tallies(job, 0, 1) if nworkers == 1 else _owner_tallies(job, schemes, nworkers)
+    shard_tallies = (_own_tallies(job, 0, 1) if nworkers == 1 or not hasattr(os, "fork")
+                     else _owner_tallies(job, schemes, nworkers))
     total = PopulationTally(has_counts=with_counts, has_rates=with_rates)
     for t in shard_tallies:
         total.merge(t)

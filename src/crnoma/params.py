@@ -1,13 +1,13 @@
-"""System parameters, derived constants, and channel-gain containers.
+"""System parameters, with their SINR thresholds, and channel-gain containers.
 
 Powers are linear transmit SNRs (noise power normalized to 1); target rates
 are in bits per channel use (BPCU). The dB -> linear helper exists for the
 CLI boundary only; the library API is linear throughout.
 
-The types are frozen dataclasses. DerivedConstants and ChannelRealization
-have __slots__ and no __dict__; SystemParams keeps a __dict__, which holds
-the derived constants it computes when it is built. ``_slot_init`` gives every
-frozen, slotted value type of the package a faster ``__init__``.
+The types are frozen dataclasses. ChannelRealization has __slots__ and no
+__dict__; SystemParams keeps a __dict__, which holds the thresholds it
+computes when it is built. ``_slot_init`` gives every frozen, slotted value
+type of the package a faster ``__init__``.
 """
 
 from __future__ import annotations
@@ -104,6 +104,11 @@ class SystemParams:
     p0, p1   : linear transmit SNRs, > 0
     r0_hat   : primary target rate, BPCU, > 0
     r1_hat   : secondary target rate, BPCU, > 0
+
+    Built with four read-only attributes: the SINR thresholds
+    eps_i = 2^r_i - 1 that a rate-r_i codeword needs, and the channel-gain
+    thresholds eta_i = eps_i / p_i. A rate whose threshold is unusable is
+    refused here.
     """
 
     p0: float
@@ -116,30 +121,11 @@ class SystemParams:
             object.__setattr__(self, name, _require_positive_finite(name, getattr(self, name)))
         eps0 = _sinr_threshold("r0_hat", self.r0_hat)
         eps1 = _sinr_threshold("r1_hat", self.r1_hat)
-        # in the instance __dict__, not a field: ==, hash and repr see the four fields only
-        object.__setattr__(self, "_constants", DerivedConstants(eps0, eps1, eps0 / self.p0, eps1 / self.p1))
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class DerivedConstants:
-    """SINR thresholds eps_i = 2^r_i - 1 and normalized thresholds eta_i = eps_i / p_i."""
-
-    eps0: float
-    eps1: float
-    eta0: float
-    eta1: float
-
-
-def derive_constants(params: SystemParams) -> DerivedConstants:
-    """Map target rates and powers to (eps0, eps1, eta0, eta1).
-
-    eps_i = 2^r_i - 1 is the SINR a rate-r_i codeword needs; eta_i = eps_i / p_i
-    is the corresponding channel-gain threshold. A SystemParams derives them
-    when it is built, so a rate whose threshold is unusable is refused there,
-    and every call returns that same object.
-    """
-    return params._constants
+        # attributes, not fields: ==, hash and repr see the four fields only. Set one by one,
+        # since reading self.__dict__ would make every attribute read a dict lookup
+        for name, value in zip(("eps0", "eps1", "eta0", "eta1"),
+                               (eps0, eps1, eps0 / self.p0, eps1 / self.p1)):
+            object.__setattr__(self, name, value)
 
 
 def _sinr_threshold(name: str, rate: float) -> float:

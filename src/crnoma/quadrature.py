@@ -29,7 +29,7 @@ import sys
 from operator import mul
 
 from .errors import QuadratureError
-from .params import SystemParams, derive_constants
+from .params import SystemParams
 
 _PROBABILITY_SLACK = 1e-9
 
@@ -105,11 +105,11 @@ def _qag(f, a: float, b: float) -> float:
     return math.fsum(entry[3] for entry in heap)
 
 
-def _outer_integrand(params: SystemParams, eps0: float, eps1: float):
+def _outer_integrand(params: SystemParams):
     # P{lower < g1 < upper} * exp(-y) with lower = (p0*y/eps0 - 1)/p1 and
     # upper = (crossing - p0*y)/p1. Both exponents, -lower - y and -upper - y,
     # are affine in y; combine them before exponentiation.
-    p0, p1 = params.p0, params.p1
+    p0, p1, eps0, eps1 = params.p0, params.p1, params.eps0, params.eps1
     crossing = (1.0 + eps0) * (1.0 + eps1) - 1.0
     a0, a1 = 1.0 / p1, -(p0 / (eps0 * p1) + 1.0)
     b0, b1 = -crossing / p1, p0 / p1 - 1.0
@@ -123,12 +123,11 @@ def _outer_integrand(params: SystemParams, eps0: float, eps1: float):
 
 def case_ii_outage_quadrature(params: SystemParams) -> float:
     """RS case-II outage probability by adaptive quadrature of the g0 integral."""
-    c = derive_constants(params)
-    lo = c.eta0
-    hi = c.eta0 * (1.0 + c.eps1)
+    lo = params.eta0
+    hi = params.eta0 * (1.0 + params.eps1)
     if hi <= lo:
         return 0.0
-    value = _qag(_outer_integrand(params, c.eps0, c.eps1), lo, hi)
+    value = _qag(_outer_integrand(params), lo, hi)
     if not math.isfinite(value) or value < -_PROBABILITY_SLACK or value > 1.0 + _PROBABILITY_SLACK:
         raise QuadratureError(f"case-II quadrature produced a non-probability: {value!r}")
     return min(1.0, max(0.0, value))

@@ -46,8 +46,7 @@ from enum import Enum
 from types import SimpleNamespace
 from typing import Any
 
-from .params import (ChannelRealization, DerivedConstants, SystemParams, _slot_init,
-                     derive_constants)
+from .params import ChannelRealization, SystemParams, _slot_init
 from .errors import ParameterError, UnknownSchemeError
 
 
@@ -152,26 +151,26 @@ class _Rule:
     each of its operands.
     """
 
-    __slots__ = ("c", "p0g0", "p1g1", "ns", "outages", "rates", "budget", "admitted", "within",
+    __slots__ = ("params", "p0g0", "p1g1", "ns", "outages", "rates", "budget", "admitted", "within",
                  "case_i", "case_ii", "noise_x0", "case_iii", "primary_outage", "first_fail",
                  "last_fail", "fail_i", "fail_iii", "tau", "first_rate", "last_rate", "x11_rate",
                  "x12_rate", "shared_rate")
 
-    def __init__(self, c: DerivedConstants, p0g0: Any, p1g1: Any, outages: bool, rates: bool,
+    def __init__(self, params: SystemParams, p0g0: Any, p1g1: Any, outages: bool, rates: bool,
                  ns: Any) -> None:
-        self.c, self.p0g0, self.p1g1, self.ns = c, p0g0, p1g1, ns
+        self.params, self.p0g0, self.p1g1, self.ns = params, p0g0, p1g1, ns
         self.outages, self.rates = outages, rates
-        self.admitted = admitted = p0g0 > c.eps0  # tau > 0
-        self.budget = budget = p0g0 / c.eps0 - 1.0
+        self.admitted = admitted = p0g0 > params.eps0  # tau > 0
+        self.budget = budget = p0g0 / params.eps0 - 1.0
         self.within = p1g1 <= budget
         self.case_i = admitted & self.within
         self.case_ii = admitted ^ self.case_i
         self.noise_x0 = noise_x0 = p0g0 + 1.0
         if outages:
             self.case_iii = admitted ^ True
-            self.primary_outage = p0g0 < c.eps0
-            self.first_fail = p1g1 < c.eps1 * noise_x0  # U1 decoded before x0, x0 as noise
-            self.last_fail = p1g1 < c.eps1              # U1 decoded after x0, interference-free
+            self.primary_outage = p0g0 < params.eps0
+            self.first_fail = p1g1 < params.eps1 * noise_x0  # U1 decoded before x0, x0 as noise
+            self.last_fail = p1g1 < params.eps1              # U1 decoded after x0, interference-free
             # cases I and III: the same test for every admission-based scheme
             self.fail_i = self.case_i & self.last_fail
             self.fail_iii = self.case_iii & self.first_fail
@@ -186,14 +185,14 @@ class _Rule:
 
     def scheme(self, scheme: SchemeId) -> _SchemeRule | None:
         """One scheme's secondary outage and rates; None for OMA_PRIMARY, unknown schemes raise."""
-        c, p0g0, p1g1, ns, outages, rates = (self.c, self.p0g0, self.p1g1, self.ns,
-                                             self.outages, self.rates)
+        params, p0g0, p1g1, ns, outages, rates = (self.params, self.p0g0, self.p1g1, self.ns,
+                                                  self.outages, self.rates)
         if scheme is _OMA_PRIMARY:
             return None
         if scheme is _CSI_SIC:
             # dynamic ordering by received power, no admission rule
             u1_first = p1g1 >= p0g0
-            x0_need = c.eps0 * (p1g1 + 1.0)
+            x0_need = params.eps0 * (p1g1 + 1.0)
             outage, tests = None, ()
             if outages:
                 x0_short = p0g0 < x0_need
@@ -206,7 +205,7 @@ class _Rule:
         fail_ii = rate_ii = achieved_ii = None
         tests = ()
         if scheme is _RS:
-            need = (1.0 + c.eps0) * (1.0 + c.eps1) - self.noise_x0
+            need = (1.0 + params.eps0) * (1.0 + params.eps1) - self.noise_x0
             if outages:
                 fail_ii = p1g1 < need
                 tests = (fail_ii,)
@@ -223,7 +222,7 @@ class _Rule:
         elif scheme is _NH_SIC:
             if outages:
                 # the budget is tau in case II
-                short = self.budget < c.eps1
+                short = self.budget < params.eps1
                 fail_ii = self.first_fail & short
                 tests = (short,)
             if rates:
@@ -280,14 +279,13 @@ def _scalar_rule(params: SystemParams, chan: ChannelRealization) -> _Rule:
     last = _last_rule
     if last is not None and last[0] is params and last[1] is chan:
         return last[2]
-    c = derive_constants(params)
     p0g0, p1g1 = params.p0 * chan.g0, params.p1 * chan.g1
     if not (math.isfinite(p0g0) and math.isfinite(p1g1)):
         raise ParameterError(f"received SNRs p0*g0 = {p0g0!r} and p1*g1 = {p1g1!r} must be finite")
-    if not math.isfinite(p0g0 / c.eps0):  # the budget p0*g0/eps0 - 1 overflows where p0*g0 does not
+    if not math.isfinite(p0g0 / params.eps0):  # the budget p0*g0/eps0 - 1 overflows where p0*g0 does not
         raise ParameterError(f"interference budget p0*g0/eps0 - 1 must be finite, got p0*g0 = "
-                             f"{p0g0!r} over eps0 = {c.eps0!r}")
-    rule = _Rule(c, p0g0, p1g1, True, True, _SCALAR)
+                             f"{p0g0!r} over eps0 = {params.eps0!r}")
+    rule = _Rule(params, p0g0, p1g1, True, True, _SCALAR)
     _last_rule = (params, chan, rule)
     return rule
 

@@ -18,6 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import crnoma as cn
 from crnoma import Metric, SamplerConfig, SchemeId, SystemParams
@@ -169,10 +170,50 @@ def test_criterion_3_on_further_seeds():
            f"comparisons (Sidak limit {bound:.2f} at family-wise alpha {FAMILY_ALPHA:g})")
 
 
+SHARD_DRAWS = 62_500  # each of the 16 default shards' draws at PAIRED_DRAWS
+
+
+def test_criterion_3_shards_agree():
+    """Every 4th criterion-3 point: the 16 shards' counts are homogeneous, chi^2 with 15 degrees.
+
+    Each shard is tallied alone, and their merge is checked against
+    simulate_tally at one point. Only events with at least
+    MIN_EXPECTED_EVENTS expected events and non-events per shard count. The
+    Bonferroni bound keeps the family-wise false-alarm rate at FAMILY_ALPHA.
+    A stream that draws apart from the others shows here, closed forms aside.
+    """
+    gains = [cn.GainStream(ACCEPTANCE_SEED, i).gains(SHARD_DRAWS) for i in range(16)]
+    statistics = []
+    for k, params in enumerate(list(parameter_grid())[::4]):
+        shards = [cn.tally_population(params, g0, g1, ORACLE_SCHEMES) for g0, g1 in gains]
+        if k == 0:
+            merged = cn.estimator.PopulationTally()
+            for shard in shards:
+                merged.merge(shard)
+            assert merged == cn.simulate_tally(params, SamplerConfig(seed=ACCEPTANCE_SEED),
+                                               PAIRED_DRAWS, ORACLE_SCHEMES)
+        targets = zip(*(_oracle_targets(params, shard) for shard in shards))
+        for events in targets:
+            name, _, expected = events[0]
+            if min(expected, 1.0 - expected) * SHARD_DRAWS < MIN_EXPECTED_EVENTS:
+                continue
+            counts = np.array([count for _, count, _ in events])
+            pooled = counts.sum() / PAIRED_DRAWS
+            chi2 = float(((counts - SHARD_DRAWS * pooled) ** 2).sum()
+                         / (SHARD_DRAWS * pooled * (1.0 - pooled)))
+            statistics.append((chi2, f"{name} at p0={params.p0:.3g} p1={params.p1:.3g} "
+                                     f"r0={params.r0_hat} r1={params.r1_hat}"))
+    bound = stats.chi2.isf(FAMILY_ALPHA / len(statistics), 15)
+    worst, worst_cell = max(statistics)
+    report("criterion 3 across shards", worst <= bound,
+           f"max shard chi^2 = {worst:.1f} at {worst_cell} over {len(statistics)} events "
+           f"(Bonferroni limit {bound:.1f} at family-wise alpha {FAMILY_ALPHA:g}, 15 dof)")
+
+
 def test_criterion_4_high_snr_and_diversity():
     """Total outage ~ eta1 at 40 dB and log-log slope -1 over 30-40 dB."""
     params = SystemParams(p0=1e4, p1=1e4, r0_hat=1.0, r1_hat=1.0)
-    ratio = cn.rs_total_outage(params) / cn.derive_constants(params).eta1
+    ratio = cn.rs_total_outage(params) / params.eta1
     slopes = {}
     for r in (1.0, 2.0):  # r = 2 gives eps0*eps1 = 9 >= 1
         dbs = np.arange(30.0, 40.01, 2.0)
@@ -244,11 +285,10 @@ def test_criterion_6_property_suites():
     params = SystemParams(p0=10**1.5, p1=10**2.0, r0_hat=1.0, r1_hat=1.5)
     stream = cn.GainStream(ACCEPTANCE_SEED, 0)
     g0, g1 = stream.gains(PAIRED_DRAWS)
-    c = cn.derive_constants(params)
     p0g0, p1g1 = params.p0 * g0, params.p1 * g1
 
     # the program's own rule, as tally_population evaluates it
-    rule = _Rule(c, p0g0, p1g1, True, True, np)
+    rule = _Rule(params, p0g0, p1g1, True, True, np)
     tau, case_i, case_ii, case_iii = rule.tau, rule.case_i, rule.case_ii, rule.case_iii
     partition_ok = (int(case_i.sum()) + int(case_ii.sum()) + int(case_iii.sum()) == PAIRED_DRAWS
                     and not np.any(case_i & case_ii) and not np.any(case_i & case_iii)
@@ -262,10 +302,10 @@ def test_criterion_6_property_suites():
 
     # post-SIC primary SINR equals eps0 exactly under the case-II power split
     gamma0 = p0g0[idx] / (tau[idx] + 1.0)
-    gamma0_ok = bool(np.all(np.abs(gamma0 - c.eps0) <= 1e-12 * c.eps0))
+    gamma0_ok = bool(np.all(np.abs(gamma0 - params.eps0) <= 1e-12 * params.eps0))
 
     # primary outage frequency matches orthogonal access for every scheme
-    expected = -math.expm1(-c.eta0)
+    expected = -math.expm1(-params.eta0)
     sigma = math.sqrt(expected * (1.0 - expected) / PAIRED_DRAWS)
     primary_ok = True
     zs = []

@@ -20,7 +20,6 @@ from crnoma import (
     conditional_case_ii_outage,
     db_to_linear,
     delay_limited_throughput,
-    derive_constants,
     nh_sic_case_ii_outage,
     primary_outage_probability,
     qos_sic_case_ii_outage,
@@ -52,16 +51,15 @@ def _qos_region_quadrature(params: SystemParams) -> float:
     Integrates P{tau/p1 < g1 < eps1*(1 + p0*g0)/p1} over the g0 range where
     the interval is nonempty.
     """
-    c = derive_constants(params)
-    product = c.eps0 * c.eps1
-    hi = c.eta0 * (1.0 + c.eps1) / (1.0 - product) if product < 1.0 else np.inf
+    product = params.eps0 * params.eps1
+    hi = params.eta0 * (1.0 + params.eps1) / (1.0 - product) if product < 1.0 else np.inf
 
     def integrand(y):
-        lower = (params.p0 * y / c.eps0 - 1.0) / params.p1
-        upper = c.eps1 * (1.0 + params.p0 * y) / params.p1
+        lower = (params.p0 * y / params.eps0 - 1.0) / params.p1
+        upper = params.eps1 * (1.0 + params.p0 * y) / params.p1
         return math.exp(-lower - y) - math.exp(-upper - y)
 
-    value, _ = quad(integrand, c.eta0, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
+    value, _ = quad(integrand, params.eta0, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
     return value
 
 
@@ -249,11 +247,10 @@ class TestAdmissionAndConditional:
         for eta0 in np.linspace(700.0, 760.0, 61):
             for p1, r1 in ((10.0, 1.0), (1.0, 0.5), (100.0, 2.0)):
                 params = SystemParams(p0=1.0 / eta0, p1=p1, r0_hat=1.0, r1_hat=r1)
-                c = derive_constants(params)
-                k = params.p1 * c.eta0
+                k = params.p1 * params.eta0
                 routes.add(admission_probability(params) >= sys.float_info.min)
                 for scheme in (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC):
-                    shifted = _case_ii_raw(scheme, _Point(params, shift=c.eta0)) / (k / (1.0 + k))
+                    shifted = _case_ii_raw(scheme, _Point(params, shift=params.eta0)) / (k / (1.0 + k))
                     assert conditional_case_ii_outage(scheme, params) == pytest.approx(
                         shifted, rel=0.0, abs=1e-15)
         assert routes == {True, False}
@@ -293,17 +290,17 @@ class TestThroughputAndReport:
 
     def test_hi_snr_report_values(self):
         params = make_params(30.0, 30.0, 2.0, 2.0)
-        c_eta1 = derive_constants(params).eta1
-        assert total_outage_high_snr(SchemeId.RS, params) == c_eta1
-        assert total_outage_high_snr(SchemeId.NH_SIC, params) == c_eta1
+        eta1 = params.eta1
+        assert total_outage_high_snr(SchemeId.RS, params) == eta1
+        assert total_outage_high_snr(SchemeId.NH_SIC, params) == eta1
         qos = total_outage_high_snr(SchemeId.QOS_SIC, params)
-        assert qos == pytest.approx(c_eta1 + qos_sic_outage_floor(params), abs=1e-15)
+        assert qos == pytest.approx(eta1 + qos_sic_outage_floor(params), abs=1e-15)
 
     def test_hi_snr_headline_is_returned_raw_at_low_snr(self):
         # an asymptote, not a probability: it exceeds 1 at -20 dB instead of raising
         params = make_params(-20.0, -20.0, 0.25, 0.25)
         report = analytic_report(SchemeId.QOS_SIC, params)
-        expected = derive_constants(params).eta1 + qos_sic_outage_floor(params)
+        expected = params.eta1 + qos_sic_outage_floor(params)
         assert expected > 1.0
         assert report.pout_total_hi_snr == expected
 

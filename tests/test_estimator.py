@@ -32,7 +32,7 @@ from crnoma import (
 from crnoma import estimator
 from crnoma.estimator import PopulationTally, SchemeTally
 from crnoma.strategy import _Rule, evaluate_outcome
-from crnoma.params import ChannelRealization, derive_constants
+from crnoma.params import ChannelRealization
 
 from conftest import make_params, src_env
 
@@ -364,7 +364,7 @@ class TestBoundaries:
 
 def _unsplit_tally(params, g0, g1, schemes, with_rates=True):
     """tally_population built by hand: the rule once over the whole arrays, rates summed by np.sum."""
-    rule = _Rule(derive_constants(params), params.p0 * g0, params.p1 * g1, True, with_rates, np)
+    rule = _Rule(params, params.p0 * g0, params.p1 * g1, True, with_rates, np)
     count = np.count_nonzero
     tally = PopulationTally(n=g0.size, case_i=count(rule.case_i), case_ii=count(rule.case_ii),
                             case_iii=count(rule.case_iii), primary_outage=count(rule.primary_outage),
@@ -716,8 +716,7 @@ _any_schemes = st.sets(st.sampled_from(list(SchemeId)), min_size=1).map(
 
 def _threshold_gains(params, seed):
     """Sorted gains about every threshold the rule has in g0 or g1 alone, and random ones."""
-    c = derive_constants(params)
-    thresholds = np.array([c.eps0 / params.p0, c.eps1 / params.p1, *EDGE_GAINS])
+    thresholds = np.array([params.eps0 / params.p0, params.eps1 / params.p1, *EDGE_GAINS])
     g = np.concatenate([thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, np.inf),
                         np.random.default_rng(seed).exponential(1.0, 60)])
     return np.sort(g[np.isfinite(g)])
@@ -810,7 +809,7 @@ class TestGainIndex:
         # admission from primary outage, and the case-I budget test from CSI-SIC's x0 test
         params = SystemParams(*point)
         g = _threshold_gains(params, 0)
-        p0g0, p1g1 = np.meshgrid(np.append(params.p0 * g, derive_constants(params).eps0),
+        p0g0, p1g1 = np.meshgrid(np.append(params.p0 * g, params.eps0),
                                  np.append(params.p1 * g, 1e-300), indexing="ij")
         tests = self.comparisons(params, p0g0, p1g1)
         for i, test in enumerate(tests):
@@ -819,7 +818,7 @@ class TestGainIndex:
 
     def comparisons(self, params, p0g0, p1g1):
         """The comparisons of the rule and every scheme at the given received powers."""
-        rule = _Rule(derive_constants(params), p0g0, p1g1, True, False, np)
+        rule = _Rule(params, p0g0, p1g1, True, False, np)
         return rule.comparisons([rule.scheme(s) for s in self.SCHEMES])
 
     def test_a_counts_job_indexes_a_key_it_finds_kept(self, monkeypatch, empty_kept_set):
@@ -1033,6 +1032,19 @@ class TestShardPool:
         assert self.run(1) == expected
         assert set(seen) == {os.getpid()}  # tallied in the calling process
         assert _owner_pids() == pids and all(proc.is_alive() for proc, _ in estimator._owners)
+
+    def test_without_fork_every_call_runs_on_one_worker(self, empty_kept_set, monkeypatch):
+        import multiprocessing
+
+        expected = self.run(1)
+        monkeypatch.delattr(os, "fork")  # as on Windows
+        assert self.run(2) == expected
+        assert estimator._owners == () and not multiprocessing.active_children()  # none started
+        monkeypatch.setenv("CRNOMA_WORKERS", "0")
+        with pytest.raises(ParameterError, match="CRNOMA_WORKERS must be an integer"):
+            self.run(None)
+        with pytest.raises(ParameterError, match="workers must be an integer"):
+            self.run(0)
 
     def test_no_owner_idles(self, empty_kept_set):
         import multiprocessing

@@ -16,7 +16,6 @@ from crnoma import (
     AnalyticReport,
     CaseLabel,
     ChannelRealization,
-    DerivedConstants,
     GainStream,
     Metric,
     OutageEstimate,
@@ -32,7 +31,6 @@ from crnoma import (
     conditional_case_ii_outage,
     db_to_linear,
     delay_limited_throughput,
-    derive_constants,
     evaluate_outcome,
     rs_decide,
 )
@@ -43,18 +41,18 @@ from crnoma.params import _slot_init
 
 class TestDerivedConstants:
     def test_rate_two_gives_eps_three(self):
-        c = derive_constants(SystemParams(p0=1.0, p1=10.0, r0_hat=2.0, r1_hat=1.0))
-        assert c.eps0 == 3.0
+        p = SystemParams(p0=1.0, p1=10.0, r0_hat=2.0, r1_hat=1.0)
+        assert p.eps0 == 3.0
 
     def test_rate_one_gives_eps_one(self):
-        c = derive_constants(SystemParams(p0=1.0, p1=1.0, r0_hat=1.0, r1_hat=1.0))
-        assert c.eps0 == 1.0
-        assert c.eps1 == 1.0
+        p = SystemParams(p0=1.0, p1=1.0, r0_hat=1.0, r1_hat=1.0)
+        assert p.eps0 == 1.0
+        assert p.eps1 == 1.0
 
     def test_eta_is_eps_over_power(self):
-        c = derive_constants(SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0))
-        assert c.eta0 == pytest.approx(0.3, abs=1e-15)
-        assert c.eta1 == pytest.approx(0.2, abs=1e-15)
+        p = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
+        assert p.eta0 == pytest.approx(0.3, abs=1e-15)
+        assert p.eta1 == pytest.approx(0.2, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [
         dict(p0=0.0), dict(p0=-1.0), dict(p1=float("nan")), dict(p1=float("inf")),
@@ -85,7 +83,7 @@ class TestDerivedConstants:
 
     def test_overflowing_rate_raises(self):
         with pytest.raises(ParameterError):
-            derive_constants(SystemParams(p0=1.0, p1=1.0, r0_hat=2000.0, r1_hat=1.0))
+            SystemParams(p0=1.0, p1=1.0, r0_hat=2000.0, r1_hat=1.0)
 
     @pytest.mark.parametrize("rates, message", [
         ((2000.0, 1.0), "target rate too large: r0_hat = 2000.0"),
@@ -104,8 +102,12 @@ class TestDerivedConstants:
             ChannelRealization(g0=-0.1, g1=1.0)
 
 
+def _thresholds(p: SystemParams) -> tuple:
+    return p.eps0, p.eps1, p.eta0, p.eta1
+
+
 class TestConstantsMemo:
-    """A SystemParams derives its constants once, when it is built; derive_constants returns them."""
+    """A SystemParams derives its thresholds once, when it is built, and holds them."""
 
     @pytest.fixture
     def derivations(self, monkeypatch):
@@ -120,11 +122,6 @@ class TestConstantsMemo:
         monkeypatch.setattr(crnoma.params, "_sinr_threshold", counting)
         return calls
 
-    def test_repeated_calls_return_same_object(self, derivations):
-        p = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0)
-        assert derive_constants(p) is derive_constants(p)
-        assert derivations == [("r0_hat", 1.0), ("r1_hat", 1.0)]
-
     def test_failing_derivation_raises_every_call(self, derivations):
         for _ in range(3):  # no instance exists to keep anything, so each attempt derives and raises
             with pytest.raises(ParameterError) as exc:
@@ -132,23 +129,32 @@ class TestConstantsMemo:
             assert str(exc.value) == "target rate too large: r0_hat = 2000.0"
         assert derivations == [("r0_hat", 2000.0)] * 3
 
-    def test_replace_gets_fresh_constants(self):
+    def test_replace_gets_fresh_constants(self, derivations):
         p = SystemParams(p0=10.0, p1=10.0, r0_hat=1.0, r1_hat=1.0)
-        c = derive_constants(p)
         same = dataclasses.replace(p)
-        assert derive_constants(same) is not c and derive_constants(same) == c
-        other = derive_constants(dataclasses.replace(p, r0_hat=2.0))
-        assert other.eps0 == 3.0 and other.eps1 == c.eps1
+        assert same is not p and _thresholds(same) == _thresholds(p)
+        other = dataclasses.replace(p, r0_hat=2.0)
+        assert other.eps0 == 3.0 and other.eps1 == p.eps1 and other.eta0 == 0.3
+        assert derivations == [("r0_hat", 1.0), ("r1_hat", 1.0)] * 2 + [("r0_hat", 2.0), ("r1_hat", 1.0)]
 
     def test_identity_of_params_unchanged_by_memo(self):
         p = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
         fresh = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
-        c = derive_constants(p)
         assert p == fresh and hash(p) == hash(fresh)
         assert repr(p) == repr(fresh) == "SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)"
+        assert [f.name for f in dataclasses.fields(p)] == ["p0", "p1", "r0_hat", "r1_hat"]
         back = pickle.loads(pickle.dumps(p))
         assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
-        assert derive_constants(back) == c
+        assert _thresholds(back) == _thresholds(p)
+
+    def test_thresholds_are_read_only(self):
+        p = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
+        for name in ("eps0", "eps1", "eta0", "eta1"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, name)
+        assert _thresholds(p) == (3.0, 1.0, 0.3, 0.2)
 
     def test_threads_see_equal_constants(self):
         # Monte Carlo shards share one SystemParams across worker threads
@@ -158,9 +164,9 @@ class TestConstantsMemo:
             for k in range(50):
                 p = SystemParams(p0=1.0 + k, p1=2.0, r0_hat=1.0, r1_hat=0.5)
                 with ThreadPoolExecutor(max_workers=8) as pool:
-                    seen = list(pool.map(lambda _: derive_constants(p), range(8), timeout=10))
+                    seen = list(pool.map(lambda _: _thresholds(p), range(8), timeout=10))
                 assert all(c == seen[0] for c in seen)
-                assert derive_constants(p) == seen[0]
+                assert _thresholds(p) == seen[0]
         finally:
             sys.setswitchinterval(interval)
 
@@ -179,7 +185,6 @@ class TestConstantsMemo:
 
 # positional arguments of each type built by _slot_init; ChannelRealization's ints become floats
 _SLOT_INIT_ARGS = {
-    DerivedConstants: (1.0, 3.0, 0.1, 0.3),
     ChannelRealization: (2, 0.5),
     RsDecision: (CaseLabel.II, 0.25, 1.5, 0.5, 1.25, 1.75, True),
     TransmissionOutcome: (SchemeId.RS, False, 1.5, False, CaseLabel.I),
@@ -211,7 +216,6 @@ def _slotted_values() -> list:
     return [
         analytic_report(SchemeId.QOS_SIC, params),
         rs_decide(params, chan),
-        derive_constants(params),
         chan,
         OutageEstimate(SchemeId.RS, Metric.OUTAGE_TOTAL, 0.1, 0.01, 0.08, 0.12, 1000),
         SweepRow(10.0, SchemeId.RS, Metric.OUTAGE_TOTAL, "MONTE_CARLO", 0.1, 0.01),
@@ -225,7 +229,7 @@ class TestSlottedValueTypes:
 
     def test_every_type_is_covered(self):
         assert {type(v) for v in _slotted_values()} == {
-            AnalyticReport, RsDecision, DerivedConstants, ChannelRealization,
+            AnalyticReport, RsDecision, ChannelRealization,
             OutageEstimate, SweepRow, CellFailure, TransmissionOutcome}
 
     @pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)

@@ -7,7 +7,6 @@ from crnoma import (
     QuadratureError,
     SystemParams,
     case_ii_outage_quadrature,
-    derive_constants,
     rs_case_ii_outage,
 )
 from crnoma import quadrature
@@ -41,15 +40,14 @@ class TestUpperLimit:
         # stays positive, instead of where the interval stays nonempty,
         # integrates a spurious signed tail
         params = SystemParams(p0=1.0, p1=5.0, r0_hat=1.0, r1_hat=2.0)
-        c = derive_constants(params)
 
         def integrand(y):
-            lower = (params.p0 * y / c.eps0 - 1.0) / params.p1
-            upper = ((1.0 + c.eps0) * (1.0 + c.eps1) - (1.0 + params.p0 * y)) / params.p1
+            lower = (params.p0 * y / params.eps0 - 1.0) / params.p1
+            upper = ((1.0 + params.eps0) * (1.0 + params.eps1) - (1.0 + params.p0 * y)) / params.p1
             return math.exp(-lower - y) - math.exp(-upper - y)
 
-        wider_hi = c.eta0 * (1.0 + c.eps1) + c.eps1 / params.p0
-        wider, _ = quad(integrand, c.eta0, wider_hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+        wider_hi = params.eta0 * (1.0 + params.eps1) + params.eps1 / params.p0
+        wider, _ = quad(integrand, params.eta0, wider_hi, epsabs=1e-13, epsrel=1e-13, limit=200)
         right = case_ii_outage_quadrature(params)
         assert right == pytest.approx(rs_case_ii_outage(params), abs=1e-12)
         assert wider < right - 1e-4
@@ -70,13 +68,13 @@ class TestSpecContract:
 
     def test_additive_under_interval_split(self, params_10db):
         # integrate the two halves of the outer interval separately
-        c = derive_constants(params_10db)
-        lo, hi = c.eta0, c.eta0 * (1.0 + c.eps1)
+        p = params_10db
+        lo, hi = p.eta0, p.eta0 * (1.0 + p.eps1)
         mid = 0.5 * (lo + hi)
 
         def integrand(y):
-            lower = (params_10db.p0 * y / c.eps0 - 1.0) / params_10db.p1
-            upper = ((1.0 + c.eps0) * (1.0 + c.eps1) - (1.0 + params_10db.p0 * y)) / params_10db.p1
+            lower = (p.p0 * y / p.eps0 - 1.0) / p.p1
+            upper = ((1.0 + p.eps0) * (1.0 + p.eps1) - (1.0 + p.p0 * y)) / p.p1
             return math.exp(-lower - y) - math.exp(-upper - y)
 
         left, _ = quad(integrand, lo, mid, epsabs=1e-13, epsrel=1e-13)
@@ -134,9 +132,8 @@ class TestRule:
                 for r0 in rates:
                     for r1 in rates:
                         params = SystemParams(p0=p0, p1=p1, r0_hat=r0, r1_hat=r1)
-                        c = derive_constants(params)
-                        lo, hi = c.eta0, c.eta0 * (1.0 + c.eps1)
-                        batch = _outer_integrand(params, c.eps0, c.eps1)
+                        lo, hi = params.eta0, params.eta0 * (1.0 + params.eps1)
+                        batch = _outer_integrand(params)
                         ref, _ = quad(lambda y: batch([y])[0], lo, hi,
                                       epsabs=1e-12, epsrel=1e-12, limit=200)
                         worst = max(worst, abs(case_ii_outage_quadrature(params) - ref))

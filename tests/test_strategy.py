@@ -18,7 +18,6 @@ from crnoma import (
     UnknownSchemeError,
     benchmark_rate_nh_sic,
     benchmark_rate_qos_sic,
-    derive_constants,
     evaluate_outcome,
     received_sinrs,
     rs_decide,
@@ -267,7 +266,7 @@ class TestInvariants:
         d = rs_decide(params, chan)
         if d.case_label is not CaseLabel.II:
             return
-        eps0 = derive_constants(params).eps0
+        eps0 = params.eps0
         gamma0 = params.p0 * chan.g0 / (d.tau + 1.0)
         assert abs(gamma0 - eps0) <= 1e-12 * eps0
 
@@ -369,7 +368,7 @@ class TestOneRulePerRealization:
         built = _count_rules(monkeypatch)
         params = SystemParams(p0=1e300, p1=1e300, r0_hat=1e-6, r1_hat=1.0)
         chan = ChannelRealization(g0=1e8, g1=1e8)
-        eps0 = derive_constants(params).eps0
+        eps0 = params.eps0
         with pytest.raises(ParameterError) as exc:
             call(params, chan)
         assert str(exc.value) == (f"interference budget p0*g0/eps0 - 1 must be finite, "

@@ -156,6 +156,41 @@ class TestConstantsMemo:
                 delattr(p, name)
         assert _thresholds(p) == (3.0, 1.0, 0.3, 0.2)
 
+    @pytest.mark.parametrize("rates", [(0.5, 1.0), (2.0, 0.5), (1e-12, 30.0), (1e-15, 3.0)],
+                             ids=["grid", "grid-swapped", "tiny-and-large", "near-refusal"])
+    def test_thresholds_are_the_formula_bit_for_bit(self, rates):
+        for p0_db, p1_db in [(-30.0, 30.0), (0.0, 0.0), (17.5, 3.25)]:
+            p0, p1 = db_to_linear(p0_db), db_to_linear(p1_db)
+            p = SystemParams(p0=p0, p1=p1, r0_hat=rates[0], r1_hat=rates[1])
+            eps0, eps1 = 2.0 ** rates[0] - 1.0, 2.0 ** rates[1] - 1.0
+            assert list(map(repr, _thresholds(p))) == list(map(repr, (eps0, eps1, eps0 / p0, eps1 / p1)))
+
+    def test_thresholds_are_neither_fields_nor_arguments(self):
+        fields = dict(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
+        p = SystemParams(**fields)
+        for name in ("eps0", "eps1", "eta0", "eta1"):
+            with pytest.raises(TypeError):
+                SystemParams(**fields, **{name: 3.0})
+            with pytest.raises(TypeError):
+                dataclasses.replace(p, **{name: 3.0})
+        assert dataclasses.asdict(p) == fields and dataclasses.astuple(p) == (10.0, 5.0, 2.0, 1.0)
+        assert list(inspect.signature(SystemParams).parameters) == list(fields)
+
+    def test_copies_keep_the_thresholds(self):
+        p = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
+        for twin in (copy.copy(p), copy.deepcopy(p), dataclasses.replace(p)):
+            assert twin == p and hash(twin) == hash(p)
+            assert _thresholds(twin) == _thresholds(p) == (3.0, 1.0, 0.3, 0.2)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                twin.eps0 = 1.0
+
+    def test_integer_fields_give_float_thresholds(self):
+        ints = SystemParams(p0=10, p1=5, r0_hat=2, r1_hat=1)
+        floats = SystemParams(p0=10.0, p1=5.0, r0_hat=2.0, r1_hat=1.0)
+        assert ints == floats and hash(ints) == hash(floats)
+        assert [type(t) for t in _thresholds(ints)] == [float] * 4
+        assert _thresholds(ints) == _thresholds(floats)
+
     def test_threads_see_equal_constants(self):
         # Monte Carlo shards share one SystemParams across worker threads
         interval = sys.getswitchinterval()

@@ -28,10 +28,12 @@ The closed forms share one record (``_Point``) of the terms of the last
 the terms that cannot fail up front: exp(-eta0), exp(-eta0*(1+eps1) - eta1),
 the case-III clear term and QoS-SIC's strip end. The five strips (admission
 and first-clear to either strip end, and RS crossing) are evaluated on first
-use and kept; one that raises is not kept, so it raises the same error again.
-analytic_report, conditional_case_ii_outage and delay_limited_throughput of
-RS, NH-SIC and QoS-SIC at one point evaluate 5 strips instead of 23. Only the
-last point is kept, so a second pass over a grid computes every point again.
+use and kept, and so are the clamped case-I and case-III outages; a term that
+raises is not kept, so it raises the same error again. analytic_report,
+conditional_case_ii_outage and delay_limited_throughput of RS, NH-SIC and
+QoS-SIC at one point evaluate 5 strips instead of 23, and the three schemes'
+reports share one case-I and one case-III float object. Only the last point
+is kept, so a second pass over a grid computes every point again.
 
 Probabilities are clamped to [0, 1] only after checking the raw value lies in
 [-1e-9, 1 + 1e-9]; a worse violation raises instead of hiding a broken formula.
@@ -147,11 +149,14 @@ class _Point:
     hi = eta0*(1+eps1) is the strip end; shift is added to each strip's
     log-scale. Every exp argument set here is <= 0, the expm1 argument is <= 0
     or NaN, k >= 1 and 1 - eps0*eps1 > 0 where it divides, and params holds
-    its thresholds, so _Point(params) never raises. A strip that raises keeps nothing.
+    its thresholds, so _Point(params) never raises. The clamped case-I and
+    case-III outages are kept too, on first use; they ignore shift, so they are
+    read on unshifted records only. A term that raises keeps nothing.
     """
 
     __slots__ = ("params", "hi", "shift", "exp_eta0", "clear_end", "case_iii", "qos_hi",
-                 "_admission", "_first_clear", "_crossing", "_qos_admission", "_qos_first_clear")
+                 "_admission", "_first_clear", "_crossing", "_qos_admission", "_qos_first_clear",
+                 "_pout_i", "_pout_iii")
 
     def __init__(self, params: SystemParams, shift: float = 0.0) -> None:
         self.params, self.shift = params, shift
@@ -165,6 +170,7 @@ class _Point:
         self.qos_hi = self.hi / (1.0 - product) if product < 1.0 else None
         self._admission = self._first_clear = self._crossing = None
         self._qos_admission = self._qos_first_clear = None
+        self._pout_i = self._pout_iii = None
 
     def admission(self) -> float:
         if self._admission is None:
@@ -190,6 +196,17 @@ class _Point:
         if self._qos_first_clear is None:
             self._qos_first_clear = _first_clear_strip(self.params, self.qos_hi, self.shift)
         return self._qos_first_clear
+
+    def pout_case_i(self) -> float:
+        if self._pout_i is None:
+            self._pout_i = _as_probability(self.exp_eta0 - self.admission() - self.clear_end,
+                                           "rs_case_i_outage")
+        return self._pout_i
+
+    def pout_case_iii(self) -> float:
+        if self._pout_iii is None:
+            self._pout_iii = _as_probability(1.0 - self.exp_eta0 - self.case_iii, "rs_case_iii_outage")
+        return self._pout_iii
 
 
 _last_point: _Point | None = None
@@ -244,14 +261,12 @@ def rs_case_ii_outage(params: SystemParams) -> float:
 
 def rs_case_i_outage(params: SystemParams) -> float:
     """P{tau > 0, p1*g1 <= tau, log2(1 + p1*g1) < target}."""
-    point = _point(params)
-    return _as_probability(point.exp_eta0 - point.admission() - point.clear_end, "rs_case_i_outage")
+    return _point(params).pout_case_i()
 
 
 def rs_case_iii_outage(params: SystemParams) -> float:
     """P{tau = 0, log2(1 + p1*g1/(p0*g0 + 1)) < target}."""
-    point = _point(params)
-    return _as_probability(1.0 - point.exp_eta0 - point.case_iii, "rs_case_iii_outage")
+    return _point(params).pout_case_iii()
 
 
 def rs_total_outage(params: SystemParams) -> float:

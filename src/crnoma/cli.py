@@ -19,8 +19,7 @@ from .estimator import Metric, estimate_batch
 from .experiments import PRESET_NAMES, figure_preset, load_spec, emit, render, run_sweep
 from .params import ChannelRealization, SystemParams, _as_count, db_to_linear
 from .quadrature import case_ii_outage_quadrature
-from .strategy import (SchemeId, benchmark_rate_nh_sic, benchmark_rate_qos_sic,
-                       evaluate_outcome, rs_decide)
+from .strategy import SchemeId, evaluate_outcome, rs_decide
 
 _SCHEME_TOKENS = tuple(sorted(s.value for s in SchemeId))
 
@@ -59,8 +58,10 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     print(f"case={decision.case_label.value} tau={decision.tau!r} alpha={decision.alpha!r}")
     print(f"rs_rate_x11={decision.r11!r} rs_rate_x12={decision.r12!r} "
           f"rs_rate_total={decision.r1_total!r} rs_transmits={decision.transmits}")
-    print(f"qos_sic_rate={benchmark_rate_qos_sic(params, chan)!r}")
-    print(f"nh_sic_rate={benchmark_rate_nh_sic(params, chan)!r}")
+    # the rates each baseline achieves on this realization: U1's capacity in case I, where
+    # the case-II formulas of benchmark_rate_qos_sic and benchmark_rate_nh_sic do not apply
+    print(f"qos_sic_rate={evaluate_outcome(SchemeId.QOS_SIC, params, chan).secondary_rate!r}")
+    print(f"nh_sic_rate={evaluate_outcome(SchemeId.NH_SIC, params, chan).secondary_rate!r}")
     if args.scheme is not None:
         scheme = SchemeId(args.scheme)
         outcome = evaluate_outcome(scheme, params, chan)

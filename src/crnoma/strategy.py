@@ -34,7 +34,9 @@ keeps the last rule with the ``params`` and ``chan`` objects it was built
 from, so the five schemes of one realization build it once. A tally builds
 whichever products its metrics need. The results, ``RsDecision`` and
 ``TransmissionOutcome``, are frozen, slotted dataclasses, built through
-their slots (see ``params._slot_init``).
+their slots (see ``params._slot_init``). An OMA_PRIMARY outcome carries
+only the primary outage bit, so ``evaluate_outcome`` returns one of two
+shared module-level instances for it instead of building a new one.
 """
 
 from __future__ import annotations
@@ -100,6 +102,10 @@ class TransmissionOutcome:
     secondary_outage: bool | None = None
     case_label: CaseLabel | None = None
 
+
+# the only two OMA_PRIMARY outcomes, indexed by the primary outage bit: the type is frozen
+# and slotted, so evaluate_outcome hands out these instead of building one per call
+_PRIMARY_ONLY = (TransmissionOutcome(_OMA_PRIMARY, False), TransmissionOutcome(_OMA_PRIMARY, True))
 
 # the rule's primitives for one realization of floats; gain arrays use numpy itself
 _SCALAR = SimpleNamespace(where=lambda cond, a, b: a if cond else b, maximum=max, log2=math.log2)
@@ -344,7 +350,7 @@ def evaluate_outcome(scheme: SchemeId, params: SystemParams, chan: ChannelRealiz
     """
     rule = _scalar_rule(params, chan)
     own = rule.scheme(scheme)
-    # positional arguments, in field order: keywords cost 1.21 us a call against 0.75 us
     if own is None:
-        return TransmissionOutcome(scheme, rule.primary_outage)
+        return _PRIMARY_ONLY[rule.primary_outage]
+    # positional arguments, in field order: keywords cost 1.21 us a call against 0.75 us
     return TransmissionOutcome(scheme, rule.primary_outage, own.rate, own.outage, rule.case_label())

@@ -27,6 +27,22 @@ def make_params(p0_db: float, p1_db: float, r0: float, r1: float) -> SystemParam
     return SystemParams(p0=db_to_linear(p0_db), p1=db_to_linear(p1_db), r0_hat=r0, r1_hat=r1)
 
 
+def avx512_dispatch() -> list[str]:
+    """The AVX-512 targets numpy both built a dispatch for and found on this CPU.
+
+    np.log1p takes an AVX-512 kernel where numpy dispatches one and the C
+    library's elsewhere, and the two round differently. NPY_DISABLE_CPU_FEATURES
+    turns the dispatch off but leaves AVX512F set in the feature table, so the
+    dispatch targets are read, not the feature.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # numpy >= 2
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # numpy 1.24
+    return [name for name in __cpu_dispatch__
+            if ("AVX512" in name or name == "X86_V4") and __cpu_features__.get(name)]
+
+
 def src_env(**overrides: str) -> dict:
     """os.environ for a child interpreter, with the imported crnoma's src/ first on PYTHONPATH.
 

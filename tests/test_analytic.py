@@ -37,6 +37,8 @@ from crnoma.selftest import parameter_grid
 
 from conftest import make_params
 
+CLOSED_FORM = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC)
+
 param_strategy = st.tuples(
     st.floats(min_value=0.1, max_value=1e4),
     st.floats(min_value=0.1, max_value=1e4),
@@ -255,6 +257,14 @@ class TestAdmissionAndConditional:
                         shifted, rel=0.0, abs=1e-15)
         assert routes == {True, False}
 
+    @pytest.mark.xfail(strict=True, raises=ProbabilityRangeError,
+                       reason="below about p1 = -70 dB the case-II closed forms exceed the admission "
+                              "probability, so the quotient reads 1.0000000011899322 (ROADMAP item 6)")
+    @pytest.mark.parametrize("scheme", CLOSED_FORM)
+    def test_conditional_is_a_probability_at_p1_minus_70_db(self, scheme):
+        value = conditional_case_ii_outage(scheme, make_params(10.0, -70.0, 0.25, 0.25))
+        assert 0.0 <= value <= 1.0
+
     def test_csi_conditional_has_no_closed_form_when_admission_underflows(self):
         from crnoma import UnknownSchemeError
         with pytest.raises(UnknownSchemeError):
@@ -314,7 +324,6 @@ class TestThroughputAndReport:
             total_outage(SchemeId.CSI_SIC, make_params(10.0, 10.0, 1.0, 1.0))
 
 
-CLOSED_FORM = (SchemeId.RS, SchemeId.NH_SIC, SchemeId.QOS_SIC)
 TINY = math.nextafter(0.0, 1.0)  # the smallest subnormal
 
 
@@ -546,6 +555,39 @@ class TestPointRecord:
         assert analytic._point(a) is not record  # a second pass over a grid computes every point again
         assert analytic._point(_fresh(a)) is not analytic._point(a)
 
+    def test_three_reports_share_the_case_i_and_iii_values(self):
+        raised = 0
+        for params in self.POINTS:
+            fresh = {f.__name__: _uncached(f, params) for f in (rs_case_i_outage, rs_case_iii_outage)}
+            reports = [_value_or_error(analytic_report, scheme, params) for scheme in CLOSED_FORM]
+            if isinstance(reports[0], tuple):
+                raised += 1
+                continue
+            for report in reports:
+                assert report.pout_case_i is reports[0].pout_case_i
+                assert report.pout_case_iii is reports[0].pout_case_iii
+            assert repr(reports[0].pout_case_i) == fresh["rs_case_i_outage"]
+            assert repr(reports[0].pout_case_iii) == fresh["rs_case_iii_outage"]
+            assert rs_case_i_outage(params) is reports[0].pout_case_i
+            assert rs_case_iii_outage(params) is reports[0].pout_case_iii
+        assert 0 < raised < len(self.POINTS)
+
+    @pytest.mark.parametrize("form, params, error", [
+        (rs_case_i_outage, SystemParams(p0=1e300, p1=1e-300, r0_hat=1.0, r1_hat=1.0),
+         "closed forms leave the float range at these powers and rates "
+         "(float division by zero in _admission_strip)"),
+        # eta0 underflows to 0 and p0*eta1 overflows: the case-III clear term is nan
+        (rs_case_iii_outage, SystemParams(p0=1e308, p1=1e-300, r0_hat=3.2e-16, r1_hat=1.0),
+         "rs_case_iii_outage evaluated to nan, outside [0, 1]"),
+    ], ids=["case-i", "case-iii"])
+    def test_a_case_term_that_raises_keeps_nothing(self, form, params, error):
+        for _ in range(2):
+            with pytest.raises((ParameterError, ProbabilityRangeError)) as exc:
+                form(params)
+            assert str(exc.value) == error
+            record = analytic._point(params)
+            assert record._pout_i is None and record._pout_iii is None
+
     def test_nine_point_eval_calls_evaluate_five_strips(self, monkeypatch):
         strips = []
 
@@ -646,6 +688,22 @@ class TestRelativeAccuracy:
             for f in (rs_case_i_outage, rs_total_outage, admission_probability):
                 ref, value = refs[f.__name__], f(params)
                 assert abs(value - ref) <= 1e-5 * ref + sys.float_info.min, (f.__name__, params)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="1 - exp(-eta0) cancels where eta0 is ~1e-6: off by 5.6e-5; the expm1 "
+                              "form moves figure CSV bytes (ROADMAP item 6)")
+    def test_rs_case_iii_within_1e_9_at_high_snr(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        params = make_params(60.0, 60.0, 1.0, 0.25)
+        with mp.workdps(60):
+            # 1 - exp(-eta0) - exp(-eta1) * (1 - exp(-eta0*k)) / k, k = p0*eta1 + 1
+            p0, p1 = mp.mpf(params.p0), mp.mpf(params.p1)
+            eta0 = (mp.mpf(2) ** params.r0_hat - 1) / p0
+            eta1 = (mp.mpf(2) ** params.r1_hat - 1) / p1
+            k = p0 * eta1 + 1
+            ref = -mp.expm1(-eta0) - mp.exp(-eta1) * -mp.expm1(-eta0 * k) / k
+        assert abs(rs_case_iii_outage(params) - ref) <= 1e-9 * ref
 
     def test_case_ii_outage_gap_within_1e_5(self):
         # the full grid; its worst error is 1.22e-6 at p0 = -20 dB, p1 = 60 dB, r0 = 1, r1 = 0.25

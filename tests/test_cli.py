@@ -50,6 +50,18 @@ class TestRate:
         assert float(kv["qos_sic_rate"]) == pytest.approx(1.575, abs=1e-3)
         assert float(kv["nh_sic_rate"]) == pytest.approx(5.059, abs=1e-3)
 
+    def test_case_i_baselines_print_the_rate_they_achieve(self, capsys):
+        # tau = 999 >= p1*g1 = 10: case I, where both baselines send at U1's capacity
+        # log2(1 + p1*g1), not at their case-II rates (0.0143 and 9.97)
+        argv = ("rate", "--p0-db", "30", "--p1-db", "10", "--r0", "1", "--r1", "1", "--g0", "1", "--g1", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        kv = parse_kv(out)
+        assert code == 0 and kv["case"] == "I"
+        for scheme in ("qos-sic", "nh-sic"):
+            _, line, _ = run_cli(capsys, *argv, "--scheme", scheme)
+            printed = kv[f"{scheme.replace('-', '_')}_rate"]
+            assert printed == parse_kv(line)["secondary_rate"] == repr(math.log2(11.0))
+
     def test_scheme_outcome_line(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--p0-db", "0", "--p1-db", "10",
                                "--g0", "10", "--g1", "10", "--r0", "2", "--r1", "4",

@@ -27,6 +27,8 @@ from crnoma import estimator, experiments
 from crnoma.cli import main
 from crnoma.experiments import PRESET_NAMES, SweepResult, parse_csv
 
+from conftest import avx512_dispatch
+
 
 def small_spec(**overrides) -> SweepSpec:
     base = dict(
@@ -307,20 +309,8 @@ CSV_RECORD = Path(__file__).resolve().parents[1] / "bench" / "csv_sha256.json"
 
 
 def _numpy_build() -> str:
-    """numpy's version and its AVX-512 dispatch on this host: the gains' last bits depend on both.
-
-    np.log1p takes an AVX-512 kernel where numpy dispatches one and the C
-    library's elsewhere, and the two round differently. NPY_DISABLE_CPU_FEATURES
-    turns the dispatch off but leaves AVX512F set in the feature table, so the
-    dispatch targets are read, not the feature.
-    """
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # numpy >= 2
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # numpy 1.24
-    avx512 = [name for name in __cpu_dispatch__
-              if ("AVX512" in name or name == "X86_V4") and __cpu_features__.get(name)]
-    return f"numpy {np.__version__}, AVX-512 dispatch {' '.join(avx512) or 'off'}"
+    """numpy's version and its AVX-512 dispatch on this host: the gains' last bits depend on both."""
+    return f"numpy {np.__version__}, AVX-512 dispatch {' '.join(avx512_dispatch()) or 'off'}"
 
 
 def test_figure_sweeps_share_one_draw_key():

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import hashlib
 import inspect
 import math
 import pickle
+import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +39,8 @@ from crnoma import (
 from crnoma import analytic, estimator, experiments, strategy
 from crnoma.experiments import CellFailure
 from crnoma.params import _slot_init
+
+from conftest import avx512_dispatch, src_env
 
 
 class TestDerivedConstants:
@@ -432,6 +436,23 @@ class TestReproducibility:
             warnings.simplefilter("error")
             draws = {GainStream(seed=seed, stream_index=15).gains(1000)[0].tobytes() for seed in seeds}
         assert len(draws) == len(seeds)
+
+    @pytest.mark.skipif(not avx512_dispatch(), reason="numpy dispatches no AVX-512 kernel here")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="np.log1p's AVX-512 kernel and the C library's log1p "
+                              "round differently, so the gains depend on the dispatch "
+                              "(ROADMAP item 2)")
+    def test_draws_do_not_depend_on_the_simd_dispatch(self):
+        # seed 20260810, stream 0: 14,769 of the first 200,000 g0 differ in their last bits
+        draw = ("import hashlib, sys\n"
+                "from crnoma import GainStream\n"
+                "g0, g1 = GainStream(seed=20260810, stream_index=0).gains(200_000)\n"
+                "sys.stdout.write(hashlib.sha256(g0.tobytes() + g1.tobytes()).hexdigest())\n")
+        env = src_env(NPY_DISABLE_CPU_FEATURES=" ".join(avx512_dispatch()))
+        off = subprocess.run([sys.executable, "-c", draw], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        g0, g1 = GainStream(seed=20260810, stream_index=0).gains(200_000)
+        assert off == hashlib.sha256(g0.tobytes() + g1.tobytes()).hexdigest()
 
     def test_streams_differ(self):
         a0, _ = GainStream(seed=7, stream_index=0).gains(1000)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import math
@@ -15,6 +16,7 @@ from crnoma import (
     ParameterError,
     SchemeId,
     SystemParams,
+    TransmissionOutcome,
     UnknownSchemeError,
     benchmark_rate_nh_sic,
     benchmark_rate_qos_sic,
@@ -146,6 +148,23 @@ class TestBenchmarkRates:
         assert rs_decide(params, chan).tau == 0.0
         assert benchmark_rate_nh_sic(params, chan) == benchmark_rate_qos_sic(params, chan)
 
+    def test_achieved_rates_are_the_case_ii_rates_outside_case_i(self):
+        # bit for bit, so the CLI's baseline lines keep their bytes in cases II and III
+        params = SystemParams(p0=2.0, p1=4.0, r0_hat=1.0, r1_hat=1.5)
+        g0, g1 = GainStream(314, 1).gains(20_000)
+        cases = Counter()
+        for a, b in zip(g0, g1):
+            chan = ChannelRealization(g0=a, g1=b)
+            case = rs_decide(params, chan).case_label
+            cases[case] += 1
+            if case is CaseLabel.I:
+                continue
+            for scheme, rate in ((SchemeId.QOS_SIC, benchmark_rate_qos_sic),
+                                 (SchemeId.NH_SIC, benchmark_rate_nh_sic)):
+                achieved = evaluate_outcome(scheme, params, chan).secondary_rate
+                assert achieved.hex() == rate(params, chan).hex()
+        assert min(cases.values()) > 1000
+
 
 class TestEvaluateOutcome:
     def test_rs_scenario_one_no_outage(self):
@@ -222,6 +241,33 @@ class TestEvaluateOutcome:
                 assert other.secondary_rate == rs.secondary_rate
             checked += 1
         assert checked > 10_000
+
+
+class TestSharedPrimaryOnlyOutcomes:
+    """evaluate_outcome returns one of two shared OMA_PRIMARY outcomes, one per primary outage bit."""
+
+    # p0*g0 against eps0 = 3: g0 = 2 is a primary outage, g0 = 10 is not
+    REALIZATIONS = {True: (ChannelRealization(g0=2.0, g1=1.0), ChannelRealization(g0=0.0, g1=5.0)),
+                    False: (ChannelRealization(g0=10.0, g1=1.0), ChannelRealization(g0=4.0, g1=0.0))}
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_one_instance_per_primary_bit(self, flag):
+        points = (SystemParams(p0=1.0, p1=1.0, r0_hat=2.0, r1_hat=1.0), SCENARIO_ONE[0])
+        outcomes = [evaluate_outcome(SchemeId.OMA_PRIMARY, params, chan)
+                    for params in points for chan in self.REALIZATIONS[flag]]
+        assert all(out is outcomes[0] for out in outcomes)
+        other = evaluate_outcome(SchemeId.OMA_PRIMARY, SCENARIO_ONE[0], self.REALIZATIONS[not flag][0])
+        assert other is not outcomes[0]
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_equals_a_freshly_built_outcome(self, flag):
+        shared = evaluate_outcome(SchemeId.OMA_PRIMARY, SCENARIO_ONE[0], self.REALIZATIONS[flag][0])
+        fresh = TransmissionOutcome(SchemeId.OMA_PRIMARY, flag)
+        assert shared is not fresh
+        assert shared == fresh and hash(shared) == hash(fresh) and repr(shared) == repr(fresh)
+        assert type(shared.primary_outage) is bool
+        for twin in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
+            assert twin == shared and hash(twin) == hash(shared)
 
 
 class TestInvariants:
